@@ -1,6 +1,5 @@
-// Serving-path micro benches (google-benchmark): concurrent localize
-// throughput through the lock-free shard read path, direct and through
-// the ServeFront coalescing front.
+// Serving-path micro bench (google-benchmark): concurrent localize
+// throughput through the lock-free shard read path.
 //
 // BM_ServeThroughput/R drives R reader threads of single-measurement
 // engine.localize() calls and reports wall-clock per iteration (manual
@@ -23,7 +22,6 @@
 
 #include "api/engine.hpp"
 #include "eval/experiment.hpp"
-#include "serve/front.hpp"
 #include "sim/sampler.hpp"
 
 namespace {
@@ -54,12 +52,18 @@ double percentile_us(std::vector<double>& sorted_us, double p) {
   return sorted_us[idx];
 }
 
-/// Shared harness: R readers each issue `per_reader` calls through
-/// `call(query)` per iteration; wall time is the overlapped window.
-template <typename Call>
-void serve_throughput_loop(benchmark::State& state, std::size_t readers,
-                           const std::vector<std::vector<double>>& queries,
-                           Call&& call) {
+void BM_ServeThroughput(benchmark::State& state) {
+  const auto& run = office();
+  api::Engine engine;
+  const auto registered = eval::register_run(engine, run, "office");
+  if (!registered.ok()) {
+    state.SkipWithError(registered.status().to_string().c_str());
+    return;
+  }
+  const auto queries = serve_queries(16);
+  // R readers each issue kPerReader calls per iteration; wall time is the
+  // overlapped window.
+  const auto readers = static_cast<std::size_t>(state.range(0));
   constexpr std::size_t kPerReader = 32;
   std::vector<double> latencies_us;
   double total_seconds = 0.0;
@@ -80,7 +84,7 @@ void serve_throughput_loop(benchmark::State& state, std::size_t readers,
         for (std::size_t k = 0; k < kPerReader; ++k) {
           const auto& query = queries[(t * 5 + k) % queries.size()];
           const auto t0 = std::chrono::steady_clock::now();
-          benchmark::DoNotOptimize(call(query));
+          benchmark::DoNotOptimize(engine.localize("office", query));
           const auto t1 = std::chrono::steady_clock::now();
           lat[t].push_back(
               std::chrono::duration<double, std::micro>(t1 - t0).count());
@@ -114,48 +118,6 @@ void serve_throughput_loop(benchmark::State& state, std::size_t readers,
   state.counters["p50_us"] = percentile_us(latencies_us, 0.50);
   state.counters["p99_us"] = percentile_us(latencies_us, 0.99);
 }
-
-void BM_ServeThroughput(benchmark::State& state) {
-  const auto& run = office();
-  api::Engine engine;
-  const auto registered = eval::register_run(engine, run, "office");
-  if (!registered.ok()) {
-    state.SkipWithError(registered.status().to_string().c_str());
-    return;
-  }
-  const auto queries = serve_queries(16);
-  serve_throughput_loop(
-      state, static_cast<std::size_t>(state.range(0)), queries,
-      [&](const std::vector<double>& query) {
-        return engine.localize("office", query);
-      });
-}
 BENCHMARK(BM_ServeThroughput)->Arg(1)->Arg(4)->UseManualTime();
-
-void BM_ServeFrontThroughput(benchmark::State& state) {
-  const auto& run = office();
-  api::Engine engine;
-  const auto registered = eval::register_run(engine, run, "office");
-  if (!registered.ok()) {
-    state.SkipWithError(registered.status().to_string().c_str());
-    return;
-  }
-  serve::ServeFrontOptions options;
-  options.max_batch = 16;
-  options.max_wait = std::chrono::microseconds(100);
-  serve::ServeFront front(engine.shards(), options);
-  const auto queries = serve_queries(16);
-  serve_throughput_loop(
-      state, static_cast<std::size_t>(state.range(0)), queries,
-      [&](const std::vector<double>& query) {
-        return front.localize("office", query);
-      });
-  state.counters["batch_avg"] =
-      front.total_batches() > 0
-          ? static_cast<double>(front.total_requests()) /
-                static_cast<double>(front.total_batches())
-          : 0.0;
-}
-BENCHMARK(BM_ServeFrontThroughput)->Arg(1)->Arg(4)->UseManualTime();
 
 }  // namespace

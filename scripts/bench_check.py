@@ -45,7 +45,6 @@ DEFAULT_SKIP = [
     # Multi-reader serve rows overlap R threads on however many cores the
     # host has; the /1 rows (and their latency counters) stay gated.
     r"^BM_ServeThroughput/(?!1/)\d",
-    r"^BM_ServeFrontThroughput/(?!1/)\d",
 ]
 
 # Latency counters gated alongside real_time.  Only "smaller is better"

@@ -215,7 +215,7 @@ Result<SnapshotPtr> Engine::register_site(std::string site,
   linalg::Matrix z;
   std::shared_ptr<const core::LrrWarmStart> lrr_state;
   try {
-    mic = core::extract_mic(x_original, config_.mic_strategy(),
+    mic = core::extract_mic(x_original, core::MicStrategy::kQrcp,
                             core::kMicDefaultRelTol, config_.threads());
     if (mic.reference_cells.empty()) {
       return Status::invalid_argument(
@@ -595,34 +595,10 @@ Result<SiteHealth> Engine::site_health(const std::string& site) const {
       out.latest_version = store_.next_version(site) - 1;
     }
   }
-  const serve::SiteHealthCounters& h = shard->health();
-  const auto get = [](const std::atomic<std::uint64_t>& v) {
-    return v.load(std::memory_order_relaxed);
-  };
-  out.state =
-      static_cast<serve::SiteState>(h.state.load(std::memory_order_relaxed));
-  out.last_observed_day = get(h.last_observed_day);
+  shard->health().load_into(out);
   out.staleness_days = out.last_observed_day > out.serving_day
                            ? out.last_observed_day - out.serving_day
                            : 0;
-  out.updates_ok = get(h.updates_ok);
-  out.updates_failed = get(h.updates_failed);
-  out.update_attempts = get(h.update_attempts);
-  out.consecutive_failures = get(h.consecutive_failures);
-  out.drift_triggers = get(h.drift_triggers);
-  out.deadline_trips = get(h.deadline_trips);
-  out.breaker_trips = get(h.breaker_trips);
-  out.recoveries = get(h.recoveries);
-  out.observations_accepted = get(h.observations_accepted);
-  out.quarantine_non_finite = get(h.quarantine_non_finite);
-  out.quarantine_out_of_range = get(h.quarantine_out_of_range);
-  out.quarantine_unknown_link = get(h.quarantine_unknown_link);
-  out.quarantine_unknown_cell = get(h.quarantine_unknown_cell);
-  out.quarantine_unknown_source = get(h.quarantine_unknown_source);
-  out.quarantine_overflow = get(h.quarantine_overflow);
-  out.spd_cholesky_failures = get(h.spd_cholesky_failures);
-  out.spd_bump_recoveries = get(h.spd_bump_recoveries);
-  out.spd_lu_fallbacks = get(h.spd_lu_fallbacks);
   return out;
 }
 
@@ -647,26 +623,23 @@ Result<UpdateResult> Engine::update_impl(const UpdateRequest& request) {
   UpdateResult result = std::move(solved).value();
 
   // Post-solve correlation refresh: the reconstruction becomes the latest
-  // database; optionally re-acquire Z from it for the next cycle (the
+  // database, and Z is re-acquired from it for the next cycle (the
   // paper's "original or latest updated" phrasing).  Runs outside the
   // lock, over the engine's thread budget, warm-started from the ADMM
   // state cached for the exact snapshot this update read (version jumps
   // reset to a cold solve).
   std::vector<std::size_t> cells = snap->reference_cells();
-  linalg::Matrix z = snap->correlation();
-  std::shared_ptr<const core::LrrWarmStart> lrr_state;
-  if (config_.refresh_correlation()) {
-    const std::shared_ptr<const core::LrrWarmStart> lrr_warm =
-        lrr_warm_for(request.site, snap->version());
-    Result<core::LrrResult> refreshed =
-        refreshed_correlation(result.solver.x_hat, cells, lrr_warm.get());
-    if (!refreshed.ok()) {
-      return Status::internal("update: " + refreshed.status().message());
-    }
-    core::LrrResult lrr = std::move(refreshed).value();
-    z = std::move(lrr.z);
-    if (lrr_warm_enabled_) lrr_state = lrr_state_of(z, std::move(lrr));
+  const std::shared_ptr<const core::LrrWarmStart> lrr_warm =
+      lrr_warm_for(request.site, snap->version());
+  Result<core::LrrResult> refreshed =
+      refreshed_correlation(result.solver.x_hat, cells, lrr_warm.get());
+  if (!refreshed.ok()) {
+    return Status::internal("update: " + refreshed.status().message());
   }
+  core::LrrResult lrr = std::move(refreshed).value();
+  linalg::Matrix z = std::move(lrr.z);
+  std::shared_ptr<const core::LrrWarmStart> lrr_state;
+  if (lrr_warm_enabled_) lrr_state = lrr_state_of(z, std::move(lrr));
 
   // Copy the converged factor for the cache before taking the lock (only
   // the pointer is exchanged under it).

@@ -19,8 +19,9 @@
 // database and localizer together).  The zero-locks contract is machine-
 // checked: the read paths run inside serve::ReadPathScope and every state
 // mutex routes through serve::note_state_lock_acquired().  Concurrent
-// single-measurement callers can additionally be coalesced into batch
-// panels by serve::ServeFront.
+// single-measurement callers each take this path directly: every query is
+// an independent match, so there is nothing to gain by holding one back
+// to form a batch.
 //
 // Batched entry points (update_batch / localize_batch) amortize per-site
 // state: snapshots and correlation matrices are reused from the store, the
@@ -90,39 +91,21 @@ struct SiteHealth {
   std::uint64_t serving_version = 0;  ///< published bundle's version
   std::size_t serving_day = 0;        ///< published bundle's day label
   std::uint64_t latest_version = 0;   ///< store's newest committed version
-  /// Largest day label seen on the site's observation stream; together
-  /// with serving_day this is the staleness a degraded site serves under.
-  std::uint64_t last_observed_day = 0;
-  /// last_observed_day - serving_day when the stream is ahead, else 0.
+  /// last_observed_day - serving_day when the observation stream is
+  /// ahead, else 0.
   std::uint64_t staleness_days = 0;
 
-  std::uint64_t updates_ok = 0;
-  std::uint64_t updates_failed = 0;
-  std::uint64_t update_attempts = 0;
-  std::uint64_t consecutive_failures = 0;
-  std::uint64_t drift_triggers = 0;
-  std::uint64_t deadline_trips = 0;
-  std::uint64_t breaker_trips = 0;
-  std::uint64_t recoveries = 0;
+  /// Every serve::SiteHealthCounters counter by name (see
+  /// IUP_SITE_HEALTH_COUNTERS), last_observed_day included.
+#define IUP_HEALTH_FIELD(name) std::uint64_t name = 0;
+  IUP_SITE_HEALTH_COUNTERS(IUP_HEALTH_FIELD)
+#undef IUP_HEALTH_FIELD
 
-  std::uint64_t observations_accepted = 0;
-  std::uint64_t quarantine_non_finite = 0;
-  std::uint64_t quarantine_out_of_range = 0;
-  std::uint64_t quarantine_unknown_link = 0;
-  std::uint64_t quarantine_unknown_cell = 0;
-  std::uint64_t quarantine_unknown_source = 0;
-  std::uint64_t quarantine_overflow = 0;
   std::uint64_t quarantined_total() const {
-    return quarantine_non_finite + quarantine_out_of_range +
-           quarantine_unknown_link + quarantine_unknown_cell +
-           quarantine_unknown_source + quarantine_overflow;
+#define IUP_ADD_QUARANTINE(name) +name
+    return 0 IUP_SITE_QUARANTINE_COUNTERS(IUP_ADD_QUARANTINE);
+#undef IUP_ADD_QUARANTINE
   }
-
-  /// Per-site SPD fallback attribution (see serve/health.hpp for the
-  /// concurrent-update attribution caveat).
-  std::uint64_t spd_cholesky_failures = 0;
-  std::uint64_t spd_bump_recoveries = 0;
-  std::uint64_t spd_lu_fallbacks = 0;
 };
 
 struct UpdateResult {
@@ -227,9 +210,9 @@ class Engine {
   const EngineConfig& config() const { return config_; }
   const SolverBackend& solver() const { return *backend_; }
 
-  /// The serve-layer registry backing this engine's sites.  ServeFront
-  /// and the soak/bench harnesses build on it; shards resolved from it
-  /// stay valid across drop_site.
+  /// The serve-layer registry backing this engine's sites.  The ingest
+  /// supervisor and trace replay reach each site's health counters
+  /// through it; shards resolved from it stay valid across drop_site.
   const serve::ShardRegistry& shards() const { return *shards_; }
 
   /// The site's current published serving bundle (lock-free).  Holding

@@ -3,10 +3,13 @@
 //   auto engine = api::Engine(api::EngineConfig()
 //                                 .solver("nlc-only")
 //                                 .localizer(api::LocalizerKind::kKnn)
-//                                 .refresh_correlation(false));
+//                                 .history_limit(8));
 //
 // Setters return *this; unset fields keep the paper's defaults (self-
-// augmented RSVD, OMP localization, correlation refreshed on every commit).
+// augmented RSVD, OMP localization).  The engine always selects reference
+// cells by QRCP MIC extraction and re-derives the correlation Z from
+// every committed reconstruction (the paper's "original or latest
+// updated" phrasing).
 #pragma once
 
 #include <chrono>
@@ -20,7 +23,6 @@
 #include "api/solver_backend.hpp"
 #include "api/status.hpp"
 #include "core/lrr.hpp"
-#include "core/mic.hpp"
 #include "core/rsvd.hpp"
 
 namespace iup::api {
@@ -86,16 +88,6 @@ class EngineConfig {
   }
   EngineConfig& lrr(core::LrrOptions value) {
     lrr_ = value;
-    return *this;
-  }
-  EngineConfig& mic_strategy(core::MicStrategy value) {
-    mic_strategy_ = value;
-    return *this;
-  }
-  /// Re-derive Z from each committed reconstruction (the paper's "original
-  /// or latest updated" phrasing).
-  EngineConfig& refresh_correlation(bool value) {
-    refresh_correlation_ = value;
     return *this;
   }
   /// Reuse the previous snapshot's converged factor as the solver's L0
@@ -172,8 +164,6 @@ class EngineConfig {
 
   const core::RsvdOptions& rsvd() const { return rsvd_; }
   const core::LrrOptions& lrr() const { return lrr_; }
-  core::MicStrategy mic_strategy() const { return mic_strategy_; }
-  bool refresh_correlation() const { return refresh_correlation_; }
   bool warm_start() const { return warm_start_; }
   bool lrr_warm_start() const { return lrr_warm_start_; }
   const std::string& solver_name() const { return solver_name_; }
@@ -193,8 +183,6 @@ class EngineConfig {
       static_cast<std::size_t>(-1);
   core::RsvdOptions rsvd_;
   core::LrrOptions lrr_;
-  core::MicStrategy mic_strategy_ = core::MicStrategy::kQrcp;
-  bool refresh_correlation_ = true;
   bool warm_start_ = true;
   bool lrr_warm_start_ = true;
   std::string solver_name_ = "self-augmented";

@@ -31,12 +31,12 @@
 //     no deadlock (every nested caller drains its own still-queued chunks
 //     before blocking, and nesting bottoms out at the depth cap).
 //
-// Consumers beyond the solver: the serving layer (src/serve/) fans its
-// batched localize panels out through the same parallel_for — the
-// "bodies only write state they exclusively own" rule is what lets a
-// ServeFront leader compute a whole batch against immutable published
-// bundles with no extra synchronization, and the deterministic chunking
-// is why batching changes scheduling but never bits.
+// Consumers beyond the solver: Engine::update_batch fans out across
+// sites and Engine::localize_batch across measurements through the same
+// parallel_for — the "bodies only write state they exclusively own" rule
+// is what lets localize_batch compute a whole panel against one immutable
+// published bundle with no extra synchronization, and the deterministic
+// chunking is why a batch returns exactly the bits of single calls.
 #pragma once
 
 #include <cstddef>

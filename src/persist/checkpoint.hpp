@@ -41,6 +41,7 @@
 #include "core/lrr.hpp"
 #include "linalg/matrix.hpp"
 #include "persist/io.hpp"
+#include "serve/health.hpp"
 
 namespace iup::persist {
 
@@ -62,29 +63,13 @@ struct WarmImage {
 };
 
 /// Plain-value copy of serve::SiteHealthCounters (the atomics sampled
-/// relaxed, restored with relaxed stores).  Field order is the wire
-/// order.
+/// relaxed, restored with relaxed stores): the state word, then the
+/// counters of IUP_SITE_HEALTH_COUNTERS, which is also the wire order.
 struct HealthImage {
   std::uint32_t state = 0;
-  std::uint64_t updates_ok = 0;
-  std::uint64_t updates_failed = 0;
-  std::uint64_t update_attempts = 0;
-  std::uint64_t consecutive_failures = 0;
-  std::uint64_t drift_triggers = 0;
-  std::uint64_t deadline_trips = 0;
-  std::uint64_t breaker_trips = 0;
-  std::uint64_t recoveries = 0;
-  std::uint64_t observations_accepted = 0;
-  std::uint64_t quarantine_non_finite = 0;
-  std::uint64_t quarantine_out_of_range = 0;
-  std::uint64_t quarantine_unknown_link = 0;
-  std::uint64_t quarantine_unknown_cell = 0;
-  std::uint64_t quarantine_unknown_source = 0;
-  std::uint64_t quarantine_overflow = 0;
-  std::uint64_t last_observed_day = 0;
-  std::uint64_t spd_cholesky_failures = 0;
-  std::uint64_t spd_bump_recoveries = 0;
-  std::uint64_t spd_lu_fallbacks = 0;
+#define IUP_HEALTH_FIELD(name) std::uint64_t name = 0;
+  IUP_SITE_HEALTH_COUNTERS(IUP_HEALTH_FIELD)
+#undef IUP_HEALTH_FIELD
 };
 
 /// One checkpointed site: the retained chain (oldest first, contiguous

@@ -45,50 +45,92 @@ constexpr std::string_view to_string(SiteState state) {
   return "UNKNOWN";
 }
 
+/// The per-site counter set, declared once: X(name) for every u64
+/// counter, in checkpoint wire order (the SiteState word goes first, then
+/// these).  The atomics below, api::SiteHealth and persist::HealthImage
+/// all declare their fields from this list, and every copy between them
+/// walks it through for_each_health_counter.  Changing the list changes
+/// the checkpoint format (persist::kFormatVersion).
+///
+/// Groups, in order: update outcomes (Engine::update records these for
+/// every caller, supervised or not); the supervisor state machine; ingest
+/// and quarantine tallies (ingest::ObservationBuffer); the largest
+/// observation day streamed for the site, which together with the
+/// published snapshot's day is the staleness a degraded site serves
+/// under; the SPD solve-path fallbacks attributed to this site.  Those
+/// are deltas of the process-wide linalg::spd_stats() sampled around each
+/// update's solve + refresh; with updates of DIFFERENT sites running
+/// concurrently the windows overlap and a fallback may be attributed to
+/// the wrong site (or double-counted), so the per-site split is a
+/// diagnostic, not an exact ledger — spd_stats() remains the
+/// authoritative total.
+#define IUP_SITE_HEALTH_COUNTERS(X)                                     \
+  X(updates_ok)                                                         \
+  X(updates_failed)                                                     \
+  X(update_attempts)                                                    \
+  X(consecutive_failures)                                               \
+  X(drift_triggers)        /* EWMA crossed threshold */                 \
+  X(deadline_trips)        /* kDeadlineExceeded */                      \
+  X(breaker_trips)         /* entered kDegraded */                      \
+  X(recoveries)            /* left kDegraded */                         \
+  X(observations_accepted)                                              \
+  IUP_SITE_QUARANTINE_COUNTERS(X)                                       \
+  X(last_observed_day)                                                  \
+  X(spd_cholesky_failures)                                              \
+  X(spd_bump_recoveries)                                                \
+  X(spd_lu_fallbacks)
+
+/// The quarantine tallies, one per ObservationBuffer rejection reason.
+#define IUP_SITE_QUARANTINE_COUNTERS(X)                                 \
+  X(quarantine_non_finite)                                              \
+  X(quarantine_out_of_range)                                            \
+  X(quarantine_unknown_link)                                            \
+  X(quarantine_unknown_cell)                                            \
+  /* source id not in the registered table; 0 for source-less sites */  \
+  X(quarantine_unknown_source)                                          \
+  X(quarantine_overflow)   /* buffer at capacity */
+
+/// Calls f(values.name...) for every counter, in wire order: with one
+/// struct it visits its fields, with two it pairs same-named fields.
+template <class F, class... Values>
+void for_each_health_counter(F&& f, Values&... values) {
+#define IUP_VISIT_HEALTH_COUNTER(name) f(values.name...);
+  IUP_SITE_HEALTH_COUNTERS(IUP_VISIT_HEALTH_COUNTER)
+#undef IUP_VISIT_HEALTH_COUNTER
+}
+
 struct SiteHealthCounters {
   /// SiteState word (last writer wins; the supervisor is the only writer
   /// once a site is watched).
   std::atomic<std::uint32_t> state{0};
+#define IUP_DECLARE_HEALTH_COUNTER(name) std::atomic<std::uint64_t> name{0};
+  IUP_SITE_HEALTH_COUNTERS(IUP_DECLARE_HEALTH_COUNTER)
+#undef IUP_DECLARE_HEALTH_COUNTER
 
-  // --- update outcomes (Engine::update records these for every caller,
-  // supervised or not) ------------------------------------------------
-  std::atomic<std::uint64_t> updates_ok{0};
-  std::atomic<std::uint64_t> updates_failed{0};
+  /// Copy the state word and every counter into the same-named fields
+  /// of a plain-value struct (relaxed loads).
+  template <class Values>
+  void load_into(Values& out) const {
+    using State = decltype(out.state);
+    out.state = static_cast<State>(state.load(std::memory_order_relaxed));
+    for_each_health_counter(
+        [](const std::atomic<std::uint64_t>& counter, std::uint64_t& value) {
+          value = counter.load(std::memory_order_relaxed);
+        },
+        *this, out);
+  }
 
-  // --- supervisor state machine ---------------------------------------
-  std::atomic<std::uint64_t> update_attempts{0};
-  std::atomic<std::uint64_t> consecutive_failures{0};
-  std::atomic<std::uint64_t> drift_triggers{0};   ///< EWMA crossed threshold
-  std::atomic<std::uint64_t> deadline_trips{0};   ///< kDeadlineExceeded
-  std::atomic<std::uint64_t> breaker_trips{0};    ///< entered kDegraded
-  std::atomic<std::uint64_t> recoveries{0};       ///< left kDegraded
-
-  // --- ingest / quarantine (ObservationBuffer) ------------------------
-  std::atomic<std::uint64_t> observations_accepted{0};
-  std::atomic<std::uint64_t> quarantine_non_finite{0};
-  std::atomic<std::uint64_t> quarantine_out_of_range{0};
-  std::atomic<std::uint64_t> quarantine_unknown_link{0};
-  std::atomic<std::uint64_t> quarantine_unknown_cell{0};
-  /// Source id absent from / mismatching the site's registered source
-  /// table (multi-radio model; zero for legacy source-less sites).
-  std::atomic<std::uint64_t> quarantine_unknown_source{0};
-  std::atomic<std::uint64_t> quarantine_overflow{0};  ///< buffer at capacity
-  /// Largest observation day streamed for the site; together with the
-  /// published snapshot's day this is the staleness metadata a degraded
-  /// site serves under.
-  std::atomic<std::uint64_t> last_observed_day{0};
-
-  // --- SPD solve-path fallbacks attributed to this site ----------------
-  // Deltas of the process-wide linalg::spd_stats() sampled around each
-  // update's solve + refresh.  With updates of DIFFERENT sites running
-  // concurrently the windows overlap and a fallback may be attributed to
-  // the wrong site (or double-counted); the per-site split is a
-  // diagnostic for "which deployment's normal equations are degrading",
-  // not an exact ledger — the process-global spd_stats() remains the
-  // authoritative total.
-  std::atomic<std::uint64_t> spd_cholesky_failures{0};
-  std::atomic<std::uint64_t> spd_bump_recoveries{0};
-  std::atomic<std::uint64_t> spd_lu_fallbacks{0};
+  /// Inverse of load_into (relaxed stores).
+  template <class Values>
+  void store_from(const Values& in) {
+    state.store(static_cast<std::uint32_t>(in.state),
+                std::memory_order_relaxed);
+    for_each_health_counter(
+        [](std::atomic<std::uint64_t>& counter, std::uint64_t value) {
+          counter.store(value, std::memory_order_relaxed);
+        },
+        *this, in);
+  }
 
   /// Raise `last_observed_day` to `day` (monotonic max, relaxed).
   void note_observed_day(std::uint64_t day) {

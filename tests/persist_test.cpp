@@ -225,6 +225,66 @@ TEST(PersistCheckpoint, RoundTripRestoresBitIdenticalServing) {
   EXPECT_EQ(h.last_observed_day, hr.last_observed_day);
 }
 
+TEST(PersistCheckpoint, EveryHealthCounterRoundTrips) {
+  // Every counter gets a distinct value, so a dropped, swapped or
+  // misordered field on the wire shows up as a mismatch.
+  const auto& run = iup::test::office_run();
+  TempDir dir;
+  Engine engine = office_engine(run);
+  run_updates(engine, run, {15, 45});
+  serve::SiteHealthCounters& h = engine.shards().find("office")->health();
+  h.state.store(static_cast<std::uint32_t>(serve::SiteState::kDegraded));
+  h.updates_ok.store(101);
+  h.updates_failed.store(102);
+  h.update_attempts.store(103);
+  h.consecutive_failures.store(104);
+  h.drift_triggers.store(105);
+  h.deadline_trips.store(106);
+  h.breaker_trips.store(107);
+  h.recoveries.store(108);
+  h.observations_accepted.store(109);
+  h.quarantine_non_finite.store(110);
+  h.quarantine_out_of_range.store(111);
+  h.quarantine_unknown_link.store(112);
+  h.quarantine_unknown_cell.store(113);
+  h.quarantine_unknown_source.store(114);
+  h.quarantine_overflow.store(115);
+  h.last_observed_day.store(116);
+  h.spd_cholesky_failures.store(117);
+  h.spd_bump_recoveries.store(118);
+  h.spd_lu_fallbacks.store(119);
+  ASSERT_TRUE(engine.save_checkpoint(dir.path).ok());
+
+  Engine restored;
+  ASSERT_TRUE(restored.restore_from(dir.path).ok());
+  const auto r = restored.site_health("office").value();
+  EXPECT_EQ(r.state, serve::SiteState::kDegraded);
+  EXPECT_EQ(r.serving_version, 3u);
+  EXPECT_EQ(r.serving_day, 45u);
+  EXPECT_EQ(r.latest_version, 3u);
+  EXPECT_EQ(r.last_observed_day, 116u);
+  EXPECT_EQ(r.staleness_days, 116u - 45u);
+  EXPECT_EQ(r.updates_ok, 101u);
+  EXPECT_EQ(r.updates_failed, 102u);
+  EXPECT_EQ(r.update_attempts, 103u);
+  EXPECT_EQ(r.consecutive_failures, 104u);
+  EXPECT_EQ(r.drift_triggers, 105u);
+  EXPECT_EQ(r.deadline_trips, 106u);
+  EXPECT_EQ(r.breaker_trips, 107u);
+  EXPECT_EQ(r.recoveries, 108u);
+  EXPECT_EQ(r.observations_accepted, 109u);
+  EXPECT_EQ(r.quarantine_non_finite, 110u);
+  EXPECT_EQ(r.quarantine_out_of_range, 111u);
+  EXPECT_EQ(r.quarantine_unknown_link, 112u);
+  EXPECT_EQ(r.quarantine_unknown_cell, 113u);
+  EXPECT_EQ(r.quarantine_unknown_source, 114u);
+  EXPECT_EQ(r.quarantine_overflow, 115u);
+  EXPECT_EQ(r.quarantined_total(), 110u + 111u + 112u + 113u + 114u + 115u);
+  EXPECT_EQ(r.spd_cholesky_failures, 117u);
+  EXPECT_EQ(r.spd_bump_recoveries, 118u);
+  EXPECT_EQ(r.spd_lu_fallbacks, 119u);
+}
+
 TEST(PersistCheckpoint, RecoveredEngineKeepsCommittingBitIdentically) {
   // The warm caches are checkpoint payload precisely so POST-recovery
   // solves match: commit the same day-90 update on both engines and
