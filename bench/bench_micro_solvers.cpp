@@ -23,6 +23,7 @@
 #include "linalg/kernels/gemm.hpp"
 #include "linalg/kernels/kernels.hpp"
 #include "linalg/svd.hpp"
+#include "loc/knn.hpp"
 #include "loc/omp.hpp"
 #include "persist/checkpoint.hpp"
 #include "persist/durability.hpp"
@@ -459,6 +460,22 @@ void BM_Recover(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_Recover);
+
+// --- Appended last per the code-layout note above.
+
+// The plain nearest-fingerprint match on BM_OmpLocalize's office database
+// and measurement: the floor OMP's greedy steps and refits are priced
+// against.
+void BM_KnnLocalize(benchmark::State& state) {
+  const auto& run = office();
+  const auto& x = run.ground_truth.at_day(0);
+  const loc::KnnLocalizer knn(x, loc::KnnOptions{1});
+  const auto y = x.col(37);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(knn.localize(y));
+  }
+}
+BENCHMARK(BM_KnnLocalize);
 
 }  // namespace
 

@@ -32,10 +32,13 @@
 //    (pre-kernel-layer) loops exactly.
 //  * dot_panel (the trsv_multi / multi-RHS back-substitution kernel) is
 //    held to a STRONGER promise: at every level, out[c] is bit-identical
-//    to kernels::dot(a, column c of the panel) at that same level — the
-//    panel solve in linalg/cholesky.cpp relies on it to keep each RHS of
-//    a multi-RHS SPD solve exactly equal to the historical one-column
-//    solve_factored_spd loop.
+//    to kernels::dot(a, column c of the panel) at that same level.  Two
+//    consumers rely on it: the panel solve in linalg/cholesky.cpp, to
+//    keep each RHS of a multi-RHS SPD solve exactly equal to the
+//    historical one-column solve_factored_spd loop; and the OMP greedy
+//    step in loc/omp.cpp, which scores all N dictionary atoms in one
+//    panel pass and must pick exactly the atom (ties included) that a
+//    per-column dot loop would.
 //  * Zero-skips (add_outer_upper rows, the multiply_into pivot skip) are
 //    exact no-ops on finite data: a contribution 0.0 * v adds +/-0, and
 //    an accumulator seeded with +0 can never round to -0, so skipping
@@ -127,8 +130,9 @@ inline double masked_diff_norm_sq(const double* mask, const double* x,
 /// out[c] = dot(a, column c of the row-major n x k panel `b` with leading
 /// dimension ldb), for c in [0, k) — bit-identical per column to calling
 /// this level's dot() on a contiguous copy of that column, vectorised
-/// across the RHS columns instead of along them.  The multi-RHS SPD
-/// back substitution (linalg/cholesky.cpp) is the consumer.
+/// across the RHS columns instead of along them.  Consumers: the
+/// multi-RHS SPD back substitution (linalg/cholesky.cpp) and the OMP
+/// greedy correlation step (loc/omp.cpp).
 inline void dot_panel(const double* a, const double* b, std::size_t ldb,
                       std::size_t n, std::size_t k, double* out) {
   active::dot_panel(a, b, ldb, n, k, out);

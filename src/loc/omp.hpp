@@ -12,6 +12,19 @@
 // subtracted from y and from every column, turning fingerprints into
 // sparse attenuation signatures.  Set `subtract_baseline = false` for the
 // raw-domain variant; both are exercised in tests and benches.
+//
+// Performance: localize() is the serving read path, so a steady-state
+// call makes zero heap allocations (machine-checked by
+// tests/loc_alloc_test.cpp).  Each greedy step scores all N atoms with
+// ONE linalg::kernels::dot_panel pass over the row-major M x N unit
+// dictionary — no per-atom column copies — and the kernel's contract
+// (out[c] bit-identical to dot(a, column c) at every dispatch level)
+// keeps the correlations, and so the argmax and its tie-breaking, exactly
+// those of a per-column dot loop.  The refit runs linalg::
+// least_squares_into, and the selected atoms, correlations, residual and
+// solution all live in a per-thread workspace sized to the thread's
+// high-water shape; localize() stays const and lock-free.  solve() runs
+// the same path and copies the solution out (its only allocations).
 #pragma once
 
 #include <optional>
@@ -62,6 +75,11 @@ class OmpLocalizer final : public Localizer {
   const std::vector<double>& baselines() const { return baselines_; }
 
  private:
+  /// Run OMP in this thread's workspace; the result lives there until
+  /// the thread's next solve.
+  const SparseSolution& solve_in_workspace(
+      std::span<const double> measurement) const;
+
   linalg::Matrix database_;         ///< raw fingerprints
   linalg::Matrix dictionary_;       ///< matching-domain columns (normalised)
   linalg::Matrix atoms_;            ///< matching-domain columns (raw scale)

@@ -1,6 +1,9 @@
 // QR, column-pivoted QR, LU, Cholesky, least squares.
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <utility>
+
 #include "linalg/cholesky.hpp"
 #include "linalg/lu.hpp"
 #include "linalg/norms.hpp"
@@ -91,6 +94,54 @@ TEST(LeastSquares, UnderdeterminedThrows) {
   const Matrix a(2, 3);
   const std::vector<double> b = {1.0, 2.0};
   EXPECT_THROW((void)least_squares(a, b), std::invalid_argument);
+}
+
+bool bits_equal(std::span<const double> a, std::span<const double> b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+}
+
+TEST(LeastSquares, ReusedWorkspaceIsBitIdenticalAcrossShapes) {
+  // One workspace grows and shrinks through every shape; each call must
+  // match the allocating forms bit for bit.
+  rng::Rng rng(17);
+  QrWorkspace ws;
+  std::vector<double> x;
+  const std::pair<std::size_t, std::size_t> shapes[] = {
+      {8, 1}, {8, 3}, {6, 2}, {16, 3}, {8, 1}, {6, 2}};
+  for (const auto& [m, n] : shapes) {
+    const Matrix a = random_matrix(m, n, rng);
+    std::vector<double> b(m);
+    for (double& v : b) v = rng.normal();
+    least_squares_into(a, b, ws, x);
+    EXPECT_TRUE(bits_equal(x, least_squares(a, b))) << m << "x" << n;
+    const QrResult f = qr(a);
+    qr_into(a, ws);
+    EXPECT_TRUE(bits_equal(ws.q.data(), f.q.data())) << m << "x" << n;
+    EXPECT_TRUE(bits_equal(ws.r.data(), f.r.data())) << m << "x" << n;
+    EXPECT_EQ(ws.q.rows(), f.q.rows());
+    EXPECT_EQ(ws.r.cols(), f.r.cols());
+  }
+}
+
+TEST(LeastSquares, WorkspaceFormKeepsErrorTypes) {
+  QrWorkspace ws;
+  std::vector<double> x;
+  const Matrix wide(2, 3);
+  const std::vector<double> b2 = {1.0, 2.0};
+  EXPECT_THROW(least_squares_into(wide, b2, ws, x), std::invalid_argument);
+  EXPECT_THROW((void)least_squares(wide, b2), std::invalid_argument);
+  // A zero column leaves an exactly-zero pivot on R's diagonal.
+  const Matrix deficient{{1.0, 0.0}, {2.0, 0.0}, {3.0, 0.0}};
+  const std::vector<double> b3 = {1.0, 2.0, 3.0};
+  EXPECT_THROW(least_squares_into(deficient, b3, ws, x), std::runtime_error);
+  EXPECT_THROW((void)least_squares(deficient, b3), std::runtime_error);
+  EXPECT_THROW(least_squares_into(deficient, b2, ws, x),
+               std::invalid_argument);
+  // The workspace stays usable after a throw.
+  const Matrix a{{1.0, 0.0}, {0.0, 2.0}, {0.0, 0.0}};
+  least_squares_into(a, b3, ws, x);
+  EXPECT_TRUE(bits_equal(x, least_squares(a, b3)));
 }
 
 TEST(Lu, SolveKnownSystem) {

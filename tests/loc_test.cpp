@@ -1,6 +1,13 @@
 // OMP and KNN localizers.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <cstring>
+#include <memory>
+
+#include "linalg/qr.hpp"
+#include "linalg/vec.hpp"
 #include "loc/knn.hpp"
 #include "loc/omp.hpp"
 #include "test_util.hpp"
@@ -110,6 +117,188 @@ TEST(Omp, ResidualThresholdStopsAtomSelection) {
   const OmpLocalizer omp(x, {}, opt);
   const auto sol = omp.solve(x.col(10));
   EXPECT_EQ(sol.support.size(), 1u);
+}
+
+// Reference OMP: the straightforward allocating solve (per-atom column
+// copies, select_columns, linalg::least_squares, Matrix * vector, sub).
+// OmpLocalizer::solve must reproduce it bit for bit.
+class ReferenceOmp {
+ public:
+  ReferenceOmp(const OmpLocalizer& omp, const OmpOptions& options)
+      : options_(options), baselines_(omp.baselines()) {
+    atoms_ = omp.database();
+    if (options_.subtract_baseline) {
+      for (std::size_t i = 0; i < atoms_.rows(); ++i) {
+        for (std::size_t j = 0; j < atoms_.cols(); ++j) {
+          atoms_(i, j) -= baselines_[i];
+        }
+      }
+    }
+    if (options_.remove_common_mode) {
+      for (std::size_t j = 0; j < atoms_.cols(); ++j) {
+        double mean = 0.0;
+        for (std::size_t i = 0; i < atoms_.rows(); ++i) mean += atoms_(i, j);
+        mean /= static_cast<double>(atoms_.rows());
+        for (std::size_t i = 0; i < atoms_.rows(); ++i) atoms_(i, j) -= mean;
+      }
+    }
+    dictionary_ = atoms_;
+    for (std::size_t j = 0; j < dictionary_.cols(); ++j) {
+      const double n = linalg::norm2(dictionary_.col(j));
+      if (n > 0.0) {
+        for (std::size_t i = 0; i < dictionary_.rows(); ++i) {
+          dictionary_(i, j) /= n;
+        }
+      }
+    }
+  }
+
+  OmpLocalizer::SparseSolution solve(std::span<const double> measurement) const {
+    std::vector<double> y(measurement.begin(), measurement.end());
+    if (options_.subtract_baseline) {
+      for (std::size_t i = 0; i < y.size(); ++i) y[i] -= baselines_[i];
+    }
+    if (options_.remove_common_mode) {
+      const double mean = linalg::mean(y);
+      for (double& v : y) v -= mean;
+    }
+    OmpLocalizer::SparseSolution sol;
+    std::vector<double> residual = y;
+    const double y_norm_sq = std::max(linalg::dot(y, y), 1e-300);
+    std::vector<bool> used(atoms_.cols(), false);
+    for (std::size_t k = 0; k < options_.max_atoms; ++k) {
+      std::size_t best = 0;
+      double best_corr = -1.0;
+      for (std::size_t j = 0; j < dictionary_.cols(); ++j) {
+        if (used[j]) continue;
+        const double corr =
+            std::abs(linalg::dot(residual, dictionary_.col(j)));
+        if (corr > best_corr) {
+          best_corr = corr;
+          best = j;
+        }
+      }
+      if (best_corr <= 0.0) break;
+      used[best] = true;
+      sol.support.push_back(best);
+      const linalg::Matrix sub = atoms_.select_columns(sol.support);
+      sol.coefficients = linalg::least_squares(sub, y);
+      const auto fitted = sub * std::span<const double>(sol.coefficients);
+      residual = linalg::sub(y, fitted);
+      const double res_sq = linalg::dot(residual, residual);
+      sol.residual_norm = std::sqrt(res_sq);
+      if (res_sq < options_.residual_xi * y_norm_sq) break;
+    }
+    return sol;
+  }
+
+ private:
+  OmpOptions options_;
+  std::vector<double> baselines_;
+  linalg::Matrix atoms_;
+  linalg::Matrix dictionary_;
+};
+
+bool same_bits(double a, double b) {
+  return std::memcmp(&a, &b, sizeof a) == 0;
+}
+
+/// Support, coefficients and residual norm of `omp.solve(y)` are
+/// bit-identical to the reference solve, and localize() reports the first
+/// atom and the same residual bits.
+::testing::AssertionResult matches_reference(const OmpLocalizer& omp,
+                                             const ReferenceOmp& reference,
+                                             std::span<const double> y) {
+  const auto want = reference.solve(y);
+  const auto got = omp.solve(y);
+  if (got.support != want.support) {
+    return ::testing::AssertionFailure() << "support differs";
+  }
+  if (got.coefficients.size() != want.coefficients.size() ||
+      std::memcmp(got.coefficients.data(), want.coefficients.data(),
+                  want.coefficients.size() * sizeof(double)) != 0) {
+    return ::testing::AssertionFailure() << "coefficients differ";
+  }
+  if (!same_bits(got.residual_norm, want.residual_norm)) {
+    return ::testing::AssertionFailure() << "residual_norm differs";
+  }
+  const LocalizationEstimate est = omp.localize(y);
+  if (want.support.empty() || est.cell != want.support.front() ||
+      !same_bits(est.score, want.residual_norm)) {
+    return ::testing::AssertionFailure() << "localize() differs";
+  }
+  return ::testing::AssertionSuccess();
+}
+
+// Every room x every subtract_baseline/remove_common_mode combination x
+// exact, noisy and cross-stamp measurements.  All twelve localizers run
+// back to back on this one thread, so the per-thread workspace is reused
+// across database shapes and options between consecutive calls.
+TEST(Omp, SolveIsBitIdenticalToReferenceSolve) {
+  struct Case {
+    std::unique_ptr<OmpLocalizer> omp;
+    std::unique_ptr<ReferenceOmp> reference;
+    std::vector<std::vector<double>> measurements;
+  };
+  std::vector<Case> cases;
+  std::size_t longest = 0;
+  for (const auto* run : {&iup::test::office_run(), &iup::test::hall_run(),
+                          &iup::test::library_run()}) {
+    const auto& x = run->ground_truth.x.front();
+    const auto& later = run->ground_truth.x.back();
+    std::vector<std::vector<double>> measurements;
+    sim::Sampler sampler(run->testbed, "omp-oracle");
+    for (std::size_t j = 0; j < x.cols(); ++j) {
+      measurements.push_back(x.col(j));
+      measurements.push_back(sampler.online_measurement(j, 0, 5));
+      measurements.push_back(later.col(j));
+    }
+    longest = std::max(longest, measurements.size());
+    for (const bool subtract : {true, false}) {
+      for (const bool common : {false, true}) {
+        OmpOptions opt;
+        opt.subtract_baseline = subtract;
+        opt.remove_common_mode = common;
+        auto omp = std::make_unique<OmpLocalizer>(x, std::vector<double>{},
+                                                  opt);
+        auto reference = std::make_unique<ReferenceOmp>(*omp, opt);
+        cases.push_back({std::move(omp), std::move(reference), measurements});
+      }
+    }
+  }
+  std::size_t compared = 0;
+  for (std::size_t k = 0; k < longest; ++k) {
+    for (std::size_t c = 0; c < cases.size(); ++c) {
+      const Case& tc = cases[c];
+      if (k >= tc.measurements.size()) continue;
+      ASSERT_TRUE(matches_reference(*tc.omp, *tc.reference,
+                                    tc.measurements[k]))
+          << "case " << c << " measurement " << k;
+      ++compared;
+    }
+  }
+  EXPECT_GT(compared, 3000u);
+}
+
+TEST(Omp, TiedCorrelationsResolveToLowestIndex) {
+  // Appending copies of the first columns makes their correlations tie
+  // exactly; the strict '>' scan must keep the lower index, as the
+  // reference does.
+  const auto& x = iup::test::office_run().ground_truth.at_day(0);
+  const std::size_t copies = 12;
+  linalg::Matrix db(x.rows(), x.cols() + copies);
+  for (std::size_t i = 0; i < x.rows(); ++i) {
+    for (std::size_t j = 0; j < db.cols(); ++j) {
+      db(i, j) = x(i, j < x.cols() ? j : j - x.cols());
+    }
+  }
+  const OmpLocalizer omp(db, {});
+  const ReferenceOmp reference(omp, OmpOptions{});
+  for (std::size_t j = 0; j < copies; ++j) {
+    const auto y = db.col(x.cols() + j);
+    EXPECT_TRUE(matches_reference(omp, reference, y)) << "column " << j;
+    EXPECT_EQ(omp.localize(y).cell, j);
+  }
 }
 
 TEST(Knn, NearestColumnExact) {
