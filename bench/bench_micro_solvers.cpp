@@ -180,35 +180,10 @@ void BM_GroundTruthSurvey(benchmark::State& state) {
 }
 BENCHMARK(BM_GroundTruthSurvey);
 
-// --- PR 3 additions, appended last: inserting functions mid-file shifts
-// the code layout of every later benchmark, which on the office testbed
-// moved BM_SvdOfficeMatrix/BM_FullUpdate by double-digit percentages with
-// zero source changes.  Keep new registrations at the end.
-
-// The LRR ADMM fan-out at explicit thread counts (the single-thread
-// baseline is BM_LrrCorrelation above; results are bit-identical).
-void BM_LrrCorrelationThreads(benchmark::State& state) {
-  const auto& x = office().ground_truth.at_day(0);
-  const auto mic = core::extract_mic(x);
-  core::LrrOptions options;
-  options.threads = static_cast<std::size_t>(state.range(0));
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(core::solve_lrr(mic.x_mic, x, options));
-  }
-}
-BENCHMARK(BM_LrrCorrelationThreads)->Arg(2)->Arg(8);
-
-// Parallel QRCP column scoring inside the MIC extraction.
-void BM_MicExtractionThreads(benchmark::State& state) {
-  const auto& x = office().ground_truth.at_day(0);
-  const std::size_t threads = static_cast<std::size_t>(state.range(0));
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        core::extract_mic(x, core::MicStrategy::kQrcp,
-                          core::kMicDefaultRelTol, threads));
-  }
-}
-BENCHMARK(BM_MicExtractionThreads)->Arg(8);
+// --- Code layout: inserting functions mid-file shifts the code layout of
+// every later benchmark, which on the office testbed moved
+// BM_SvdOfficeMatrix/BM_FullUpdate by double-digit percentages with zero
+// source changes.  Keep new registrations at the end.
 
 // --- PR 4 additions (SIMD kernel layer + ADMM warm start), appended last
 // per the code-layout note above.

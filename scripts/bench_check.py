@@ -37,8 +37,6 @@ import sys
 # Wall-clock depends on the host's core count for these, not on the code.
 DEFAULT_SKIP = [
     r"^BM_Algorithm1Sweep/(?!1$)\d+$",
-    r"^BM_LrrCorrelationThreads/\d+$",
-    r"^BM_MicExtractionThreads/\d+$",
     r"^BM_UpdateBatchFourSites/(?!1$)\d+$",
     r"^BM_LocalizeBatch/(?!1$)\d+$",
     r"^BM_RassGridSearch/(?!1$)\d+$",

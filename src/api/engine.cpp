@@ -64,11 +64,8 @@ Engine::Engine(EngineConfig config)
     : config_(std::move(config)),
       hooks_(config_.update_hooks()),
       store_(config_.history_limit()) {
-  // The effective thread count wins over the per-options thread knobs no
-  // matter in which order the fluent setters were called: the solver
-  // sweep, the MIC column scoring and the LRR fan-out all share it.
-  lrr_options_ = config_.lrr();
-  lrr_options_.threads = config_.threads();
+  // The engine-wide thread count wins over RsvdOptions::threads no
+  // matter in which order the fluent setters were called.
   backend_ = config_.solver_backend();
   if (backend_ == nullptr) {
     core::RsvdOptions options = config_.rsvd();
@@ -215,15 +212,14 @@ Result<SnapshotPtr> Engine::register_site(std::string site,
   linalg::Matrix z;
   std::shared_ptr<const core::LrrWarmStart> lrr_state;
   try {
-    mic = core::extract_mic(x_original, core::MicStrategy::kQrcp,
-                            core::kMicDefaultRelTol, config_.threads());
+    mic = core::extract_mic(x_original);
     if (mic.reference_cells.empty()) {
       return Status::invalid_argument(
           "register_site: fingerprint matrix has rank 0, no reference "
           "locations can be selected");
     }
     core::LrrResult lrr =
-        core::acquire_correlation_full(mic, x_original, lrr_options_);
+        core::acquire_correlation_full(mic, x_original, core::LrrOptions{});
     z = std::move(lrr.z);
     // Seed the refresh warm-start cache from the registration solve, so
     // even the site's first update refreshes warm.
@@ -544,7 +540,8 @@ Result<core::LrrResult> Engine::refreshed_correlation(
     const core::LrrWarmStart* warm) const {
   try {
     const core::MicResult mic = core::mic_from_cells(x_hat, cells);
-    return core::acquire_correlation_full(mic, x_hat, lrr_options_, warm);
+    return core::acquire_correlation_full(mic, x_hat, core::LrrOptions{},
+                                          warm);
   } catch (const std::exception& e) {
     return Status::internal(std::string("correlation refresh: ") + e.what());
   }
@@ -625,9 +622,8 @@ Result<UpdateResult> Engine::update_impl(const UpdateRequest& request) {
   // Post-solve correlation refresh: the reconstruction becomes the latest
   // database, and Z is re-acquired from it for the next cycle (the
   // paper's "original or latest updated" phrasing).  Runs outside the
-  // lock, over the engine's thread budget, warm-started from the ADMM
-  // state cached for the exact snapshot this update read (version jumps
-  // reset to a cold solve).
+  // lock, warm-started from the ADMM state cached for the exact snapshot
+  // this update read (version jumps reset to a cold solve).
   std::vector<std::size_t> cells = snap->reference_cells();
   const std::shared_ptr<const core::LrrWarmStart> lrr_warm =
       lrr_warm_for(request.site, snap->version());
@@ -738,7 +734,7 @@ std::vector<Result<UpdateResult>> Engine::update_batch(
   // LRR correlation refresh, so site A's refresh overlaps site B's solve
   // instead of serialising the whole batch behind the refreshes.  With
   // fewer active chains than pool threads the surplus budget flows into
-  // the chains' solver/LRR fan-outs through the pool's budgeted nesting
+  // the chains' solver sweeps through the pool's budgeted nesting
   // (iup::parallel submits one nested level to the shared queue): each
   // chain's sweeps still partition by the engine-wide thread knob, and
   // idle workers execute whichever chain's chunks are queued.  Results

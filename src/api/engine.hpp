@@ -283,12 +283,10 @@ class Engine {
                             const linalg::SpdStats& before) const;
 
   /// Post-commit correlation refresh: gather the reference columns of
-  /// `x_hat` (MIC) and re-solve the LRR for Z, both over the engine's
-  /// thread budget (lrr_options_), warm-starting the ADMM from `warm`
-  /// when given.  Runs outside the state lock; in update_batch the
-  /// per-site refreshes execute concurrently across sites, and at top
-  /// level (single-site batches, plain update()) the LRR's own column
-  /// fan-out uses the full budget.
+  /// `x_hat` (MIC) and re-solve the LRR for Z, warm-starting the ADMM
+  /// from `warm` when given.  Runs outside the state lock; in
+  /// update_batch the per-site refreshes execute concurrently across
+  /// sites.
   Result<core::LrrResult> refreshed_correlation(
       const linalg::Matrix& x_hat, const std::vector<std::size_t>& cells,
       const core::LrrWarmStart* warm) const;
@@ -334,9 +332,6 @@ class Engine {
   /// config_.update_hooks(): failure-path seams, empty (never consulted)
   /// by default.
   UpdateHooks hooks_;
-  /// config_.lrr() with the effective thread budget applied; every
-  /// correlation acquisition/refresh solves with these options.
-  core::LrrOptions lrr_options_;
   std::shared_ptr<const SolverBackend> backend_;
   /// warm_start() requested AND the backend actually consumes problem.l0;
   /// otherwise the cache is bypassed entirely (no copies, no retention).

@@ -86,10 +86,6 @@ class EngineConfig {
     rsvd_ = value;
     return *this;
   }
-  EngineConfig& lrr(core::LrrOptions value) {
-    lrr_ = value;
-    return *this;
-  }
   /// Reuse the previous snapshot's converged factor as the solver's L0
   /// (versioned per-site cache, invalidated whenever the site moves to a
   /// version the cache was not derived from) instead of paying for a fresh
@@ -141,16 +137,15 @@ class EngineConfig {
     history_limit_ = value;
     return *this;
   }
-  /// Worker threads (0 = all hardware threads).  Sets the solver sweep
-  /// parallelism (RsvdOptions::threads is overridden when the engine
-  /// builds its backend, regardless of setter order), the correlation
-  /// pipeline (MIC column scoring and the LRR ADMM fan-out, both at
-  /// registration and on every post-commit refresh) and the update_batch /
-  /// localize_batch fan-out.  When never called, the rsvd().threads value
-  /// applies throughout.  Results are bit-identical for any value: the
-  /// solver sweep and the MIC/LRR kernels never reorder a floating-point
-  /// reduction, and the batch fan-outs only parallelise independent work
-  /// (distinct sites / distinct measurements).
+  /// Worker threads (0 = all hardware threads; default 1).  The one
+  /// parallelism setting of the engine: it fans out the solver sweep
+  /// (RsvdOptions::threads is overridden when the engine builds its
+  /// backend, regardless of setter order), update_batch across sites and
+  /// localize_batch across measurements.  The correlation pipeline (MIC
+  /// and LRR) is serial.  Results are bit-identical for any value: the
+  /// solver sweep never reorders a floating-point reduction, and the batch
+  /// fan-outs only parallelise independent work (distinct sites / distinct
+  /// measurements).
   EngineConfig& threads(std::size_t value) {
     threads_ = value;
     return *this;
@@ -163,7 +158,6 @@ class EngineConfig {
   }
 
   const core::RsvdOptions& rsvd() const { return rsvd_; }
-  const core::LrrOptions& lrr() const { return lrr_; }
   bool warm_start() const { return warm_start_; }
   bool lrr_warm_start() const { return lrr_warm_start_; }
   const std::string& solver_name() const { return solver_name_; }
@@ -173,23 +167,17 @@ class EngineConfig {
   LocalizerKind localizer() const { return localizer_; }
   std::size_t history_limit() const { return history_limit_; }
   const UpdateHooks& update_hooks() const { return update_hooks_; }
-  std::size_t threads() const {
-    return threads_ == kInheritThreads ? rsvd_.threads : threads_;
-  }
+  std::size_t threads() const { return threads_; }
 
  private:
-  /// Sentinel: threads() inherits rsvd().threads until explicitly set.
-  static constexpr std::size_t kInheritThreads =
-      static_cast<std::size_t>(-1);
   core::RsvdOptions rsvd_;
-  core::LrrOptions lrr_;
   bool warm_start_ = true;
   bool lrr_warm_start_ = true;
   std::string solver_name_ = "self-augmented";
   std::shared_ptr<const SolverBackend> solver_backend_;
   LocalizerKind localizer_ = LocalizerKind::kOmp;
   std::size_t history_limit_ = 0;
-  std::size_t threads_ = kInheritThreads;
+  std::size_t threads_ = 1;
   UpdateHooks update_hooks_;
 };
 

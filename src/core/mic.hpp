@@ -6,14 +6,11 @@
 // matrix rank (= M for the paper's testbeds), which is why only 8 of 94
 // locations need a fresh labor-cost survey.
 //
-// Two numerical realisations are provided:
-//  * kRref  — Gauss-Jordan elimination, pivot columns of the reduced
-//             echelon form.  Literal reading of the paper ("elementary
-//             column transformation; first nonzero element of each row").
-//  * kQrcp  — rank-revealing column-pivoted QR, which greedily picks the
-//             best-conditioned independent set.  Same rank, same
-//             independence guarantee, markedly better conditioning of
-//             X_MIC on noisy data; this is the default.
+// The set is found by rank-revealing column-pivoted QR, which greedily
+// picks the best-conditioned independent set.  It has the rank and the
+// independence guarantee of the paper's literal recipe (pivot columns of
+// the reduced echelon form) and a markedly better-conditioned X_MIC on
+// noisy data.
 #pragma once
 
 #include <cstddef>
@@ -23,11 +20,7 @@
 
 namespace iup::core {
 
-enum class MicStrategy { kRref, kQrcp };
-
-/// Default relative rank tolerance of extract_mic — named so callers that
-/// must pass trailing arguments (e.g. a thread count) cannot drift from
-/// the default by restating it.
+/// Default relative rank tolerance of extract_mic.
 inline constexpr double kMicDefaultRelTol = 1e-8;
 
 struct MicResult {
@@ -37,14 +30,8 @@ struct MicResult {
 };
 
 /// Extract the MIC set of `x`.  `rel_tol` is the relative rank tolerance.
-/// `threads` (0 = all hardware threads) fans the kQrcp column scoring out
-/// over iup::parallel with bit-identical results for any thread count (see
-/// linalg::qr_column_pivoted); kRref is a literal-paper reference path and
-/// stays serial.
 MicResult extract_mic(const linalg::Matrix& x,
-                      MicStrategy strategy = MicStrategy::kQrcp,
-                      double rel_tol = kMicDefaultRelTol,
-                      std::size_t threads = 1);
+                      double rel_tol = kMicDefaultRelTol);
 
 /// Build an X_MIC matrix for an explicit set of reference cells (used by
 /// the Fig. 14 benchmark to evaluate 7 / 8+1 / 11-random reference sets).

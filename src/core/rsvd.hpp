@@ -45,6 +45,9 @@ struct RsvdOptions {
   /// Worker threads for the per-column / per-row sweep (0 = all hardware
   /// threads).  Results are bit-identical for any value: every column/row
   /// owns its output slot and no floating-point reduction is reordered.
+  /// This is the one fan-out inside an update solve, kept because it pays
+  /// on many-link sites; api::Engine overrides it with
+  /// EngineConfig::threads().
   std::size_t threads = 1;
   Constraint2Mode c2_mode = Constraint2Mode::kGaussSeidel;
   FactorInit init = FactorInit::kWarmStart;

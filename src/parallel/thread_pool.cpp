@@ -17,7 +17,7 @@ namespace {
 // submits to the pool while depth < kMaxNestDepth and degrades to
 // sequential chunk execution beyond that — one level of budgeted nesting
 // is enough for the engine's update_batch (site chains at depth 0, each
-// chain's solver/LRR fan-outs at depth 1), and a finite cap keeps the
+// chain's solver sweeps at depth 1), and a finite cap keeps the
 // termination argument trivial.
 thread_local std::size_t t_nest_depth = 0;
 
@@ -135,7 +135,7 @@ void ThreadPool::run(std::size_t n, std::size_t ways, const ChunkBody& body) {
   // shared queue even from inside a worker.  Idle workers pick them up,
   // so when an outer fan-out has fewer chunks than the pool has threads
   // (update_batch with few site chains), the surplus threads flow into
-  // the nested fan-outs instead of idling.  Deadlock-free by induction on
+  // the nested fan-outs (the chains' solver sweeps) instead of idling.  Deadlock-free by induction on
   // depth: every nested caller first runs chunk 0 itself, then drains its
   // own still-queued chunks (help_drain), so by the time it blocks, its
   // remaining chunks are being executed by workers — and those chunks

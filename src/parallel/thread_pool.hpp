@@ -25,7 +25,7 @@
 //     chunks to the shared queue (one nested level deep), so idle workers
 //     flow into the nested fan-outs — an update_batch with fewer site
 //     chains than pool threads feeds its surplus threads to the chains'
-//     solver/LRR sweeps instead of pinning each chain to one thread.
+//     solver sweeps instead of pinning each chain to one thread.
 //     Deeper nesting degrades to sequential chunk execution on the
 //     calling thread.  Either way: same chunks, same slots, same results,
 //     no deadlock (every nested caller drains its own still-queued chunks

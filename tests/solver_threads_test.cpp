@@ -74,27 +74,45 @@ TEST(SolverThreadInvariance, PaperLiteralModeToo) {
   EXPECT_EQ(par.x_hat, base.x_hat);
 }
 
-TEST(EngineThreadInvariance, UpdateResultBitIdenticalOnOfficeTestbed) {
-  const auto& run = test::office_run();
-
+// Register + one update at threads(1) and threads(n): reference cells,
+// correlation, reconstruction and solver trajectory must match bit for bit.
+void expect_update_thread_invariant(const eval::EnvironmentRun& run,
+                                    std::size_t threads) {
   api::Engine serial(api::EngineConfig().threads(1));
-  api::Engine parallel(api::EngineConfig().threads(8));
-  ASSERT_TRUE(eval::register_run(serial, run, "office").ok());
-  ASSERT_TRUE(eval::register_run(parallel, run, "office").ok());
+  api::Engine parallel(api::EngineConfig().threads(threads));
+  ASSERT_TRUE(eval::register_run(serial, run, "site").ok());
+  ASSERT_TRUE(eval::register_run(parallel, run, "site").ok());
 
-  const auto cells = serial.reference_cells("office").value();
-  ASSERT_EQ(cells, parallel.reference_cells("office").value());
-  const auto request = eval::collect_update_request(run, "office", cells, 45);
+  const auto cells = serial.reference_cells("site").value();
+  ASSERT_EQ(cells, parallel.reference_cells("site").value());
+  EXPECT_EQ(parallel.snapshot("site").value()->correlation(),
+            serial.snapshot("site").value()->correlation());
+  const auto request = eval::collect_update_request(run, "site", cells, 45);
 
   const auto serial_result = serial.update(request);
   const auto parallel_result = parallel.update(request);
   ASSERT_TRUE(serial_result.ok()) << serial_result.status().to_string();
   ASSERT_TRUE(parallel_result.ok()) << parallel_result.status().to_string();
   EXPECT_EQ(parallel_result.value().x_hat(), serial_result.value().x_hat());
+  EXPECT_EQ(parallel_result.value().snapshot->correlation(),
+            serial_result.value().snapshot->correlation());
   EXPECT_EQ(parallel_result.value().solver.objective_history,
             serial_result.value().solver.objective_history);
   EXPECT_EQ(parallel_result.value().committed_version,
             serial_result.value().committed_version);
+}
+
+TEST(EngineThreadInvariance, UpdateResultBitIdenticalOnOfficeTestbed) {
+  {
+    SCOPED_TRACE("office, 8 threads");
+    expect_update_thread_invariant(test::office_run(), 8);
+  }
+  // A 24-link site: the size the sweep fan-out is kept for.
+  sim::MixedRadioOptions options;
+  options.num_links = 24;
+  const eval::EnvironmentRun mixed(sim::make_mixed_radio_testbed(options));
+  SCOPED_TRACE("24-link mixed radio, 4 threads");
+  expect_update_thread_invariant(mixed, 4);
 }
 
 TEST(EngineThreadInvariance, MultiSiteUpdateBatchMatchesSequential) {
