@@ -11,6 +11,7 @@
 
 #include "core/constraints.hpp"
 #include "linalg/cholesky.hpp"
+#include "linalg/kernels/gemm.hpp"
 #include "linalg/kernels/kernels.hpp"
 #include "linalg/norms.hpp"
 #include "linalg/svd.hpp"
@@ -45,7 +46,13 @@
 //    sizes are skewed); the group list is built once on the calling
 //    thread, each group writes only its members' output rows, and each
 //    member's solve is bit-identical to its per-column solve — so the
-//    1-vs-N-thread and grouped-vs-ungrouped identities both hold exactly.
+//    1-vs-N-thread and grouped-vs-ungrouped identities both hold exactly;
+//  * a chunk's groups occupy one contiguous range of sweep-order slots,
+//    and the chunk builds that range's RHS block itself (the GEMM's
+//    per-element arithmetic does not depend on the block bounds), so the
+//    batched right-hand sides add no serial section and no barrier;
+//  * lane batches are formed inside a chunk, and a lane's bits do not
+//    depend on which groups share its batch.
 namespace iup::core {
 
 namespace {
@@ -100,6 +107,9 @@ struct ThreadWorkspace {
   linalg::Matrix panel;      ///< rr x k RHS panel of one mask group
   std::vector<double> dots;  ///< k, solve_factored_spd_multi scratch
   linalg::Matrix q_retry;    ///< group fallback: per-column solve replay
+  // Lane batch of up to kLanes groups (factor_spd_lanes layout).
+  std::vector<double> lane_q;  ///< rr x rr x kLanes interleaved Q / factors
+  std::vector<double> lane_b;  ///< rr x kLanes interleaved singleton RHS
   // L-update Constraint-2 scratch (Theta_i stored transposed: row u of
   // theta_t is the factor of band cell (i, u) — a contiguous copy of a row
   // of R instead of a strided column write).
@@ -121,14 +131,12 @@ struct SweepContext {
   linalg::Matrix xd_cur;  ///< current largely-decrease estimate
   linalg::Matrix xdg;     ///< X_D * G
   // Complement-form data term: the mask B is fixed for the whole solve,
-  // so the observed/unobserved index sets per column (R-update) and per
-  // row (L-update) are scanned exactly once.  With the realistic dense
-  // masks of the no-decrease matrix (~80% observed) seeding Q with
+  // so the unobserved index sets per column (R-update) and per row
+  // (L-update) are scanned exactly once.  With the realistic dense masks
+  // of the no-decrease matrix (~80% observed) seeding Q with
   // lambda*I + L^T L and SUBTRACTING the few unobserved outer products
   // replaces ~dense-many rank-1 updates by ~(1-density)-many.
-  std::vector<std::vector<std::size_t>> obs_rows;    ///< per column j
   std::vector<std::vector<std::size_t>> unobs_rows;  ///< per column j
-  std::vector<std::vector<std::size_t>> obs_cols;    ///< per row i
   std::vector<std::vector<std::size_t>> unobs_cols;  ///< per row i
   // Mask groups, built once per solve when RsvdOptions::group_masks (the
   // grouping depends only on B, the layout and the constraint weights —
@@ -142,10 +150,26 @@ struct SweepContext {
   // exactly the groups whose prefix offset lands inside it.
   std::vector<std::size_t> col_group_starts;
   std::vector<std::size_t> row_group_starts;
+  // Sweep order: the grid columns (rows) in the order the fan-out visits
+  // them — the groups' members concatenated, or the identity when
+  // ungrouped — so every chunk owns a contiguous slot range [t0, t1).
+  std::vector<std::size_t> col_order;
+  std::vector<std::size_t> row_order;
+  // Right-hand-side sources, fixed per solve: [B o X_B ; w1 P] with the
+  // columns permuted into col_order (R-update, m or 2m rows), and
+  // [B o X_B | w1 P] with the rows permuted into row_order (L-update, n or
+  // 2n columns).  Unobserved entries hold 0, whose products add an exact
+  // +/-0 (kernels.hpp zero-skip argument).
+  linalg::Matrix rhs_src_r;
+  linalg::Matrix rhs_src_l;
+  linalg::Matrix lt;       ///< L^T (the R-update GEMM's left operand)
+  linalg::Matrix r_panel;  ///< rr x n R-update RHS, columns in col_order
+  linalg::Matrix l_panel;  ///< m x rr L-update RHS, rows in row_order
   // Sweep outputs (double-buffered against l_hat / r_hat in solve()).
   linalg::Matrix r_next;
   linalg::Matrix l_next;
   // Objective scratch.
+  linalg::Matrix rt;  ///< R^T for the dot_panel X_hat rows
   linalg::Matrix x_hat;
   linalg::Matrix xd_obj;
   linalg::Matrix xdg_obj;
@@ -154,6 +178,26 @@ struct SweepContext {
 };
 
 namespace {
+
+/// Solve every member of `grp` against the factored Q in ws.q (member
+/// rows of `out` hold the right-hand sides on entry, the solutions on
+/// exit) as the columns of one multi-RHS panel.
+void solve_factored_group(const MaskGroup& grp, ThreadWorkspace& ws,
+                          linalg::Matrix& out) {
+  const std::size_t n = ws.q.rows();
+  const std::size_t k = grp.members.size();
+  ws.panel.resize(n, k);
+  ws.dots.resize(k);
+  for (std::size_t c = 0; c < k; ++c) {
+    const auto row = out.row_span(grp.members[c]);
+    for (std::size_t i = 0; i < n; ++i) ws.panel(i, c) = row[i];
+  }
+  linalg::solve_factored_spd_multi(ws.q, ws.panel, ws.dots);
+  for (std::size_t c = 0; c < k; ++c) {
+    const auto row = out.row_span(grp.members[c]);
+    for (std::size_t i = 0; i < n; ++i) row[i] = ws.panel(i, c);
+  }
+}
 
 /// Solve one mask group against `out`'s member rows (which already hold
 /// the right-hand sides): Q is built once from the representative member,
@@ -187,45 +231,102 @@ void solve_mask_group(const MaskGroup& grp, ThreadWorkspace& ws,
     }
     return;
   }
+  solve_factored_group(grp, ws, out);
+}
+
+/// Solve groups [g0, g1) in lane batches of up to kLanes: their Qs factor
+/// together through linalg::factor_spd_lanes (independent pivot chains
+/// instead of one latency-bound chain per group), singleton groups also
+/// solve as lanes, and a multi-member group copies its lane's factor out
+/// for the shared panel solve.  Each lane's bits equal factor_spd +
+/// solve_factored_spd on its own Q, and a lane's result does not depend
+/// on which groups share its batch.  A lane that fails to factor is
+/// re-solved from a rebuilt Q through solve_mask_group, whose ladder
+/// (bump retries, LU fallback, SpdStats counts) is exactly the unbatched
+/// one — the lane attempt itself counts nothing.
+template <typename BuildQ>
+void solve_mask_groups_lanes(const std::vector<MaskGroup>& groups,
+                             std::size_t g0, std::size_t g1,
+                             ThreadWorkspace& ws, linalg::Matrix& out,
+                             const BuildQ& build_q) {
+  constexpr std::size_t kL = linalg::kernels::kLanes;
   const std::size_t n = ws.q.rows();
-  const std::size_t k = grp.members.size();
-  ws.panel.resize(n, k);
-  ws.dots.resize(k);
-  for (std::size_t c = 0; c < k; ++c) {
-    const auto row = out.row_span(grp.members[c]);
-    for (std::size_t i = 0; i < n; ++i) ws.panel(i, c) = row[i];
-  }
-  linalg::solve_factored_spd_multi(ws.q, ws.panel, ws.dots);
-  for (std::size_t c = 0; c < k; ++c) {
-    const auto row = out.row_span(grp.members[c]);
-    for (std::size_t i = 0; i < n; ++i) row[i] = ws.panel(i, c);
+  ws.lane_q.resize(n * n * kL);
+  ws.lane_b.resize(n * kL);
+  const auto at = [&](std::size_t a, std::size_t b, std::size_t l) {
+    return (a * n + b) * kL + l;
+  };
+  for (std::size_t g = g0; g < g1; g += kL) {
+    const std::size_t count = std::min(kL, g1 - g);
+    for (std::size_t l = 0; l < kL; ++l) {
+      const MaskGroup* grp = l < count ? &groups[g + l] : nullptr;
+      // Padding lanes factor the identity and solve a zero RHS.
+      if (grp != nullptr) build_q(ws.q, grp->members.front());
+      for (std::size_t a = 0; a < n; ++a) {
+        for (std::size_t b = a; b < n; ++b) {
+          ws.lane_q[at(a, b, l)] =
+              grp != nullptr ? ws.q(a, b) : (a == b ? 1.0 : 0.0);
+        }
+      }
+      const bool single = grp != nullptr && grp->members.size() == 1;
+      const auto rhs = single ? out.row_span(grp->members.front())
+                              : std::span<double>();
+      for (std::size_t a = 0; a < n; ++a) {
+        ws.lane_b[a * kL + l] = single ? rhs[a] : 0.0;
+      }
+    }
+    const unsigned ok = linalg::factor_spd_lanes(ws.lane_q, n);
+    linalg::solve_factored_spd_lanes(ws.lane_q, ws.lane_b, n);
+    for (std::size_t l = 0; l < count; ++l) {
+      const MaskGroup& grp = groups[g + l];
+      if ((ok & (1u << l)) == 0) {
+        solve_mask_group(grp, ws, out, build_q);
+      } else if (grp.members.size() == 1) {
+        const auto row = out.row_span(grp.members.front());
+        for (std::size_t a = 0; a < n; ++a) row[a] = ws.lane_b[a * kL + l];
+      } else {
+        for (std::size_t a = 0; a < n; ++a) {
+          for (std::size_t b = a; b < n; ++b) {
+            ws.q(a, b) = ws.lane_q[at(a, b, l)];
+          }
+        }
+        solve_factored_group(grp, ws, out);
+      }
+    }
   }
 }
 
-/// Invoke `fn(group, slot)` exactly once per mask group, fanning out over
-/// the groups' member-count prefix space (`total` = sum of member counts,
-/// `starts` the prefix offsets).  The partition is size-weighted so chunk
-/// work stays balanced when group sizes are skewed, and chunk boundaries
-/// are pure integer arithmetic, so the chunk-to-group assignment — and
-/// therefore every bit of the result — is identical at every thread
-/// count: a chunk executes exactly the groups whose prefix offset starts
-/// inside it.  Shared by the R- and L-update grouped paths so the
-/// assignment rule cannot drift between them.
-template <typename PerGroup>
+/// Invoke `fn(g0, g1, slot)` once per chunk with the chunk's contiguous
+/// group range [g0, g1), fanning out over the groups' member-count prefix
+/// space (`total` = sum of member counts, `starts` the prefix offsets).
+/// The partition is size-weighted so chunk work stays balanced when group
+/// sizes are skewed, and chunk boundaries are pure integer arithmetic, so
+/// the chunk-to-group assignment — and therefore every bit of the result
+/// — is identical at every thread count: a chunk executes exactly the
+/// groups whose prefix offset starts inside it.  Shared by the R- and
+/// L-update grouped paths so the assignment rule cannot drift between
+/// them.
+template <typename PerChunk>
 void for_each_group_chunked(std::size_t threads, std::size_t total,
-                            const std::vector<MaskGroup>& groups,
                             const std::vector<std::size_t>& starts,
-                            const PerGroup& fn) {
+                            const PerChunk& fn) {
   parallel::parallel_for(
       threads, total,
       [&](std::size_t begin, std::size_t end, std::size_t slot) {
-        std::size_t g = static_cast<std::size_t>(
-            std::lower_bound(starts.begin(), starts.end(), begin) -
-            starts.begin());
-        for (; g < starts.size() && starts[g] < end; ++g) {
-          fn(groups[g], slot);
+        const auto first =
+            std::lower_bound(starts.begin(), starts.end(), begin);
+        const auto last = std::lower_bound(first, starts.end(), end);
+        if (first != last) {
+          fn(static_cast<std::size_t>(first - starts.begin()),
+             static_cast<std::size_t>(last - starts.begin()), slot);
         }
       });
+}
+
+/// First sweep-order slot of group g (`total` past the last group).
+std::size_t group_slot(const std::vector<std::size_t>& starts, std::size_t g,
+                       std::size_t total) {
+  return g < starts.size() ? starts[g] : total;
 }
 
 }  // namespace
@@ -370,7 +471,16 @@ double SelfAugmentedRsvd::objective(const RsvdProblem& problem,
                                     const Weights& w, const linalg::Matrix& l,
                                     const linalg::Matrix& r,
                                     SweepContext& ctx) const {
-  linalg::multiply_transposed_into(l, r, ctx.x_hat);  // X_hat = L R^T
+  // X_hat = L R^T, one dot_panel pass per row against R^T: bit-identical
+  // to the per-entry dot() of multiply_transposed_into, vectorised along
+  // the grid axis instead of the rank.
+  const std::size_t n = r.rows();
+  linalg::transpose_into(r, ctx.rt);
+  ctx.x_hat.resize(l.rows(), n);
+  for (std::size_t i = 0; i < l.rows(); ++i) {
+    linalg::kernels::dot_panel(l.row_span(i).data(), ctx.rt.data().data(), n,
+                               l.cols(), n, ctx.x_hat.row_span(i).data());
+  }
   double v = options_.lambda * (linalg::frobenius_norm_sq(l) +
                                 linalg::frobenius_norm_sq(r));
   v += linalg::masked_diff_norm_sq(problem.b, ctx.x_hat, problem.x_b);
@@ -456,9 +566,8 @@ void SelfAugmentedRsvd::update_r(const RsvdProblem& problem, const Weights& w,
   };
 
   // Constraint-2 Gauss-Seidel cross terms of column j, appended AFTER the
-  // data / Constraint-1 axpys by both RHS builders below (the fused panel
-  // builder and the per-column one), so the per-column accumulation order
-  // can never differ between them.
+  // data / Constraint-1 terms of the panel RHS (the historical per-column
+  // accumulation order).
   const auto append_rhs_c2 = [&](std::size_t j) {
     const auto c = ctx.r_next.row_span(j);
     const std::size_t ii = layout_.band_of(j);
@@ -484,51 +593,27 @@ void SelfAugmentedRsvd::update_r(const RsvdProblem& problem, const Weights& w,
     }
   };
 
-  // Right-hand side of column j, built directly in the output row so the
-  // in-place solve lands the solution there without a copy.
-  const auto build_rhs = [&](std::size_t j) {
-    const auto c = ctx.r_next.row_span(j);
-    std::fill(c.begin(), c.end(), 0.0);
-    for (const std::size_t i : ctx.obs_rows[j]) {
-      linalg::axpy(problem.x_b(i, j), l.row_span(i), c);
+  // Right-hand sides of sweep slots [t0, t1) as one rr x (t1 - t0) panel
+  // block L^T [B o X_B ; w1 P] (vectorised along the grid axis), then
+  // scattered into the slots' output rows so the in-place solves land the
+  // solutions there.  Per element the GEMM accumulates ascending i — the
+  // data terms, then the Constraint-1 terms — exactly the historical
+  // per-column axpy order, with the unobserved rows adding exact zeros.
+  ctx.r_panel.resize(rr, n);  // zero-filled: the GEMMs accumulate into it
+  linalg::transpose_into(l, ctx.lt);
+  const auto build_rhs = [&](std::size_t t0, std::size_t t1) {
+    double* panel = ctx.r_panel.data().data();
+    const double* src = ctx.rhs_src_r.data().data();
+    for (std::size_t block = 0; block < ctx.rhs_src_r.rows(); block += m) {
+      linalg::kernels::gemm_accumulate(ctx.lt.data().data(), m,
+                                       src + block * n + t0, n, panel + t0,
+                                       n, rr, m, t1 - t0);
     }
-    if (w.w1 > 0.0) {
-      for (std::size_t i = 0; i < m; ++i) {
-        linalg::axpy(w.w1 * problem.p(i, j), l.row_span(i), c);
-      }
-    }
-    if (c2 && gauss_seidel) append_rhs_c2(j);
-  };
-
-  // Fused RHS construction of one mask group (ROADMAP 4a): the group
-  // signature fixes the unobserved row set, hence its complement — every
-  // member walks the SAME observed index list.  Walk it once, loading each
-  // L row once per group instead of once per member, and feed all member
-  // columns from it.  Per member the accumulation order is unchanged
-  // (data axpys in ascending i, then the Constraint-1 axpys in ascending
-  // i, then the Constraint-2 cross terms), so every member's RHS is
-  // bit-identical to build_rhs above.
-  const auto build_rhs_group = [&](const MaskGroup& grp) {
-    for (const std::size_t j : grp.members) {
+    for (std::size_t t = t0; t < t1; ++t) {
+      const std::size_t j = ctx.col_order[t];
       const auto c = ctx.r_next.row_span(j);
-      std::fill(c.begin(), c.end(), 0.0);
-    }
-    for (const std::size_t i : ctx.obs_rows[grp.members.front()]) {
-      const auto li = l.row_span(i);
-      for (const std::size_t j : grp.members) {
-        linalg::axpy(problem.x_b(i, j), li, ctx.r_next.row_span(j));
-      }
-    }
-    if (w.w1 > 0.0) {
-      for (std::size_t i = 0; i < m; ++i) {
-        const auto li = l.row_span(i);
-        for (const std::size_t j : grp.members) {
-          linalg::axpy(w.w1 * problem.p(i, j), li, ctx.r_next.row_span(j));
-        }
-      }
-    }
-    if (c2 && gauss_seidel) {
-      for (const std::size_t j : grp.members) append_rhs_c2(j);
+      for (std::size_t a = 0; a < rr; ++a) c[a] = ctx.r_panel(a, t);
+      if (c2 && gauss_seidel) append_rhs_c2(j);
     }
   };
 
@@ -540,9 +625,9 @@ void SelfAugmentedRsvd::update_r(const RsvdProblem& problem, const Weights& w,
       ThreadWorkspace& ws = ctx.ws[slot];
       ws.q.resize(rr, rr);
       ws.diag.resize(rr);
+      build_rhs(begin, end);
       for (std::size_t j = begin; j < end; ++j) {
         build_q(ws.q, j);
-        build_rhs(j);
         linalg::solve_spd_into(ws.q, ctx.r_next.row_span(j), ws.diag);
       }
     });
@@ -551,15 +636,18 @@ void SelfAugmentedRsvd::update_r(const RsvdProblem& problem, const Weights& w,
 
   // Mask-grouped sweep: a group's members share one factored Q and must
   // stay in one chunk (see for_each_group_chunked for the size-weighted
-  // deterministic partition).
+  // deterministic partition); the chunk's groups own a contiguous slot
+  // range, whose RHS block the chunk builds itself.
   for_each_group_chunked(
-      ctx.threads, n, ctx.col_groups, ctx.col_group_starts,
-      [&](const MaskGroup& grp, std::size_t slot) {
+      ctx.threads, n, ctx.col_group_starts,
+      [&](std::size_t g0, std::size_t g1, std::size_t slot) {
         ThreadWorkspace& ws = ctx.ws[slot];
         ws.q.resize(rr, rr);
         ws.diag.resize(rr);
-        build_rhs_group(grp);
-        solve_mask_group(grp, ws, ctx.r_next, build_q);
+        build_rhs(group_slot(ctx.col_group_starts, g0, n),
+                  group_slot(ctx.col_group_starts, g1, n));
+        solve_mask_groups_lanes(ctx.col_groups, g0, g1, ws, ctx.r_next,
+                                build_q);
       });
 }
 
@@ -593,8 +681,8 @@ void SelfAugmentedRsvd::update_l(const RsvdProblem& problem, const Weights& w,
 
   ctx.l_next.resize(m, rr);
 
-  // Q and RHS for row i, data + Constraint-1 terms only (complement-form
-  // data term, mirroring update_r) — shared verbatim by the grouped and
+  // Q for row i, data + Constraint-1 terms only (complement-form data
+  // term, mirroring update_r) — shared verbatim by the grouped and
   // ungrouped paths below so they cannot drift apart.  The Q stream stops
   // before the Constraint-2 curvature: the ungrouped loop appends it, the
   // grouped path (mask-only Q by construction) symmetrizes directly.
@@ -606,42 +694,24 @@ void SelfAugmentedRsvd::update_l(const RsvdProblem& problem, const Weights& w,
     }
     if (w.w1 > 0.0) linalg::add_scaled(q, w.w1, ctx.rtr);
   };
-  const auto build_rhs_base = [&](std::size_t i) {
-    const auto c = ctx.l_next.row_span(i);
-    std::fill(c.begin(), c.end(), 0.0);
-    for (const std::size_t j : ctx.obs_cols[i]) {
-      linalg::axpy(problem.x_b(i, j), r.row_span(j), c);
-    }
-    if (w.w1 > 0.0) {
-      for (std::size_t j = 0; j < n; ++j) {
-        linalg::axpy(w.w1 * problem.p(i, j), r.row_span(j), c);
-      }
-    }
-  };
 
-  // Fused RHS construction of one row group, mirroring the R-update's
-  // build_rhs_group: all member rows share the observed column set, so one
-  // walk over it (and over the Constraint-1 columns) feeds every member,
-  // loading each R row once per group.  Per-member accumulation order is
-  // identical to build_rhs_base, so the fused panel is bit-identical.
-  const auto build_rhs_group = [&](const MaskGroup& grp) {
-    for (const std::size_t i : grp.members) {
-      const auto c = ctx.l_next.row_span(i);
-      std::fill(c.begin(), c.end(), 0.0);
+  // Right-hand sides of sweep slots [t0, t1): the rows
+  // [B o X_B | w1 P] R of one GEMM block per term, ascending j per element
+  // (the historical per-row axpy order), copied into the slots' output
+  // rows.
+  ctx.l_panel.resize(m, rr);  // zero-filled: the GEMMs accumulate into it
+  const auto build_rhs = [&](std::size_t t0, std::size_t t1) {
+    double* panel = ctx.l_panel.data().data() + t0 * rr;
+    const std::size_t ld = ctx.rhs_src_l.cols();
+    const double* src = ctx.rhs_src_l.data().data() + t0 * ld;
+    for (std::size_t block = 0; block < ld; block += n) {
+      linalg::kernels::gemm_accumulate(src + block, ld, r.data().data(), rr,
+                                       panel, rr, t1 - t0, n, rr);
     }
-    for (const std::size_t j : ctx.obs_cols[grp.members.front()]) {
-      const auto rj = r.row_span(j);
-      for (const std::size_t i : grp.members) {
-        linalg::axpy(problem.x_b(i, j), rj, ctx.l_next.row_span(i));
-      }
-    }
-    if (w.w1 > 0.0) {
-      for (std::size_t j = 0; j < n; ++j) {
-        const auto rj = r.row_span(j);
-        for (const std::size_t i : grp.members) {
-          linalg::axpy(w.w1 * problem.p(i, j), rj, ctx.l_next.row_span(i));
-        }
-      }
+    for (std::size_t t = t0; t < t1; ++t) {
+      const auto row = ctx.l_panel.row_span(t);
+      std::copy(row.begin(), row.end(),
+                ctx.l_next.row_span(ctx.row_order[t]).begin());
     }
   };
 
@@ -656,13 +726,15 @@ void SelfAugmentedRsvd::update_l(const RsvdProblem& problem, const Weights& w,
       symmetrize_lower(q);
     };
     for_each_group_chunked(
-        ctx.threads, m, ctx.row_groups, ctx.row_group_starts,
-        [&](const MaskGroup& grp, std::size_t slot) {
+        ctx.threads, m, ctx.row_group_starts,
+        [&](std::size_t g0, std::size_t g1, std::size_t slot) {
           ThreadWorkspace& ws = ctx.ws[slot];
           ws.q.resize(rr, rr);
           ws.diag.resize(rr);
-          build_rhs_group(grp);
-          solve_mask_group(grp, ws, ctx.l_next, build_q);
+          build_rhs(group_slot(ctx.row_group_starts, g0, m),
+                    group_slot(ctx.row_group_starts, g1, m));
+          solve_mask_groups_lanes(ctx.row_groups, g0, g1, ws, ctx.l_next,
+                                  build_q);
         });
     return;
   }
@@ -678,10 +750,10 @@ void SelfAugmentedRsvd::update_l(const RsvdProblem& problem, const Weights& w,
       ws.neighbor_sum.resize(layout_.slots);
       ws.contrib.resize(rr);
     }
+    build_rhs(begin, end);
     for (std::size_t i = begin; i < end; ++i) {
       linalg::Matrix& q = ws.q;
       build_q_base(q, i);
-      build_rhs_base(i);
       const auto c = ctx.l_next.row_span(i);
 
       if (c2) {
@@ -768,24 +840,18 @@ RsvdResult SelfAugmentedRsvd::solve(const RsvdProblem& problem) const {
   ctx.threads = parallel::resolve_threads(options_.threads);
   ctx.ws.resize(ctx.threads);
 
-  // B is fixed across the whole solve: scan the observed/unobserved index
-  // sets once, instead of re-testing every mask entry in every sweep.
-  {
-    const std::size_t m = problem.b.rows();
-    const std::size_t n = problem.b.cols();
-    ctx.obs_rows.assign(n, {});
-    ctx.unobs_rows.assign(n, {});
-    ctx.obs_cols.assign(m, {});
-    ctx.unobs_cols.assign(m, {});
-    for (std::size_t i = 0; i < m; ++i) {
-      for (std::size_t j = 0; j < n; ++j) {
-        if (problem.b(i, j) != 0.0) {
-          ctx.obs_rows[j].push_back(i);
-          ctx.obs_cols[i].push_back(j);
-        } else {
-          ctx.unobs_rows[j].push_back(i);
-          ctx.unobs_cols[i].push_back(j);
-        }
+  const std::size_t m = problem.b.rows();
+  const std::size_t n = problem.b.cols();
+
+  // B is fixed across the whole solve: scan the unobserved index sets
+  // once, instead of re-testing every mask entry in every sweep.
+  ctx.unobs_rows.assign(n, {});
+  ctx.unobs_cols.assign(m, {});
+  for (std::size_t i = 0; i < m; ++i) {
+    for (std::size_t j = 0; j < n; ++j) {
+      if (problem.b(i, j) == 0.0) {
+        ctx.unobs_rows[j].push_back(i);
+        ctx.unobs_cols[i].push_back(j);
       }
     }
   }
@@ -799,8 +865,6 @@ RsvdResult SelfAugmentedRsvd::solve(const RsvdProblem& problem) const {
   // it, keeping first-occurrence order so the grouped fan-out is
   // deterministic.  Built once: B and the weights are fixed per solve.
   if (options_.group_masks) {
-    const std::size_t m = problem.b.rows();
-    const std::size_t n = problem.b.cols();
     const bool c2 = options_.use_constraint2 && (w.w2 > 0.0 || w.w3 > 0.0);
     const auto append_word = [](std::string& key, std::uint64_t word) {
       for (int b = 0; b < 64; b += 8) {
@@ -854,6 +918,44 @@ RsvdResult SelfAugmentedRsvd::solve(const RsvdProblem& problem) const {
     };
     prefix_starts(ctx.col_groups, ctx.col_group_starts);
     prefix_starts(ctx.row_groups, ctx.row_group_starts);
+  }
+
+  // Sweep orders and the permuted RHS sources (see SweepContext).
+  const auto sweep_order = [](std::size_t count,
+                              const std::vector<MaskGroup>& groups,
+                              std::vector<std::size_t>& order) {
+    order.clear();
+    for (const MaskGroup& grp : groups) {
+      order.insert(order.end(), grp.members.begin(), grp.members.end());
+    }
+    if (groups.empty()) {
+      for (std::size_t k = 0; k < count; ++k) order.push_back(k);
+    }
+  };
+  sweep_order(n, ctx.col_groups, ctx.col_order);
+  sweep_order(m, ctx.row_groups, ctx.row_order);
+  const auto obs = [&](std::size_t i, std::size_t j) {
+    return problem.b(i, j) != 0.0 ? problem.x_b(i, j) : 0.0;
+  };
+  const auto pred = [&](std::size_t i, std::size_t j) {
+    return w.w1 * problem.p(i, j);
+  };
+  const std::size_t terms = w.w1 > 0.0 ? 2 : 1;
+  ctx.rhs_src_r.resize(terms * m, n);
+  ctx.rhs_src_l.resize(m, terms * n);
+  for (std::size_t i = 0; i < m; ++i) {
+    for (std::size_t t = 0; t < n; ++t) {
+      const std::size_t j = ctx.col_order[t];
+      ctx.rhs_src_r(i, t) = obs(i, j);
+      if (terms == 2) ctx.rhs_src_r(m + i, t) = pred(i, j);
+    }
+  }
+  for (std::size_t t = 0; t < m; ++t) {
+    const std::size_t i = ctx.row_order[t];
+    for (std::size_t j = 0; j < n; ++j) {
+      ctx.rhs_src_l(t, j) = obs(i, j);
+      if (terms == 2) ctx.rhs_src_l(t, n + j) = pred(i, j);
+    }
   }
 
   RsvdResult out;

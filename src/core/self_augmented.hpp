@@ -36,16 +36,27 @@
 // inputs, same op sequence), so the sweep groups them once per solve,
 // factors each group's Q once, and solves the group's right-hand sides as
 // one multi-RHS panel (linalg::solve_factored_spd_multi), whose per-column
-// results are bit-identical to the historical one-column loop.  The RHS
-// panel is built fused as well: a group's members share the observed index
-// set (complement of the signature's unobserved set), so one walk over it
-// feeds every member column — each L/R row is loaded once per group
-// instead of once per member, with per-member accumulation order (and
-// therefore every bit) unchanged.  The same
+// results are bit-identical to the historical one-column loop.  The same
 // holds for L-update rows when Constraint 2 is inactive (with c2 active,
-// the per-row Theta curvature makes every row's Q unique).  Guarantees:
-// grouped and ungrouped sweeps are exactly equal, at every thread count
-// and kernel dispatch level (tests/linalg_spd_multi_test.cpp).
+// the per-row Theta curvature makes every row's Q unique).
+//
+// Batched sweep work.  A sweep is bound by call overhead and latency, not
+// flops, so its two hot spots run batched with the historical
+// per-element operation order:
+//  * Right-hand sides: two GEMMs per half-sweep against the per-solve
+//    source [B o X_B ; w1 P] — the R-update's L^T [B o X_B ; w1 P] as an
+//    r x n panel vectorised along the grid axis, the L-update's
+//    [B o X_B | w1 P] [R ; R] — each element accumulated ascending like
+//    the old per-column axpys (unobserved entries add an exact zero).
+//    The Constraint-2 cross terms are appended afterwards, as before.
+//  * SPD solves: the R- (and grouped L-) update factors up to
+//    kernels::kLanes groups' Qs at once through linalg::factor_spd_lanes,
+//    each lane bit-identical to factor_spd + solve_factored_spd; a lane
+//    that fails re-runs the unbatched retry / LU ladder.
+// Guarantees: grouped and ungrouped sweeps are exactly equal, at every
+// thread count and kernel dispatch level (tests/linalg_spd_multi_test.cpp),
+// and the default trajectory's bits are pinned across commits
+// (tests/core_rsvd_test.cpp).
 #pragma once
 
 #include <utility>

@@ -2,12 +2,6 @@
 
 namespace iup::core {
 
-linalg::Matrix acquire_correlation(const MicResult& mic,
-                                   const linalg::Matrix& x,
-                                   const LrrOptions& options) {
-  return solve_lrr(mic.x_mic, x, options).z;
-}
-
 LrrResult acquire_correlation_full(const MicResult& mic,
                                    const linalg::Matrix& x,
                                    const LrrOptions& options,

@@ -13,8 +13,8 @@
 // batched updates, warm-start caches and pluggable solver backends.  The
 // pre-Engine IUpdater shim that used to live here was retired once its
 // last callers migrated; what remains is the correlation-acquisition seam
-// the Engine (and tests) drive directly, plus the input/report value
-// types every layer shares.
+// the Engine (and tests) drive directly, plus the input value type every
+// layer shares.
 #pragma once
 
 #include <cstddef>
@@ -29,13 +29,8 @@
 namespace iup::core {
 
 /// Inherent-correlation acquisition (Eq. 12): solve the LRR with the MIC
-/// columns as dictionary and return Z.
-linalg::Matrix acquire_correlation(const MicResult& mic,
-                                   const linalg::Matrix& x,
-                                   const LrrOptions& options);
-
-/// As acquire_correlation, but returning the full ADMM result (Z plus the
-/// multiplier state and final penalty) and optionally resuming from a
+/// columns as dictionary and return the full ADMM result (Z plus the
+/// multiplier state and final penalty), optionally resuming from a
 /// previous solve's state — the warm path of the correlation refresh: the
 /// database drifts slowly between updates, so the previous snapshot's Z
 /// and multipliers are a near-converged iterate for the next refresh.
@@ -52,12 +47,6 @@ struct UpdateInputs {
   /// ignores it; api::Engine rejects inputs whose provenance disagrees
   /// with the site's registered source table.
   std::vector<SourceInfo> sources;
-};
-
-struct UpdateReport {
-  linalg::Matrix x_hat;          ///< reconstructed fingerprint matrix
-  RsvdResult solver;             ///< factors + objective history
-  std::size_t reference_count = 0;
 };
 
 }  // namespace iup::core

@@ -228,6 +228,68 @@ void solve_factored_spd_multi(const Matrix& r, Matrix& panel,
   }
 }
 
+unsigned factor_spd_lanes(std::span<double> lanes, std::size_t n) {
+  constexpr std::size_t kL = kernels::kLanes;
+  if (lanes.size() != n * n * kL) {
+    throw std::invalid_argument("factor_spd_lanes: size mismatch");
+  }
+  // cholesky_upper_in_place, one lane per problem.
+  unsigned ok = (1u << kL) - 1;
+  double* q = lanes.data();
+  double rjj[kL];
+  double alpha[kL];
+  for (std::size_t j = 0; j < n; ++j) {
+    double* row_j = q + j * n * kL;
+    double* d = row_j + j * kL;
+    for (std::size_t l = 0; l < kL; ++l) {
+      if (d[l] <= 0.0 || !std::isfinite(d[l])) {
+        ok &= ~(1u << l);
+        d[l] = 1.0;  // the lane is abandoned; keep its arithmetic tame
+      }
+      rjj[l] = std::sqrt(d[l]);
+      d[l] = rjj[l];
+    }
+    for (std::size_t k = j + 1; k < n; ++k) {
+      for (std::size_t l = 0; l < kL; ++l) row_j[k * kL + l] /= rjj[l];
+    }
+    for (std::size_t i = j + 1; i < n; ++i) {
+      for (std::size_t l = 0; l < kL; ++l) alpha[l] = -row_j[i * kL + l];
+      kernels::axpy_lanes(alpha, row_j + i * kL, q + (i * n + i) * kL, n - i);
+    }
+  }
+  return ok;
+}
+
+void solve_factored_spd_lanes(std::span<const double> factors,
+                              std::span<double> bx, std::size_t n) {
+  constexpr std::size_t kL = kernels::kLanes;
+  if (factors.size() != n * n * kL || bx.size() != n * kL) {
+    throw std::invalid_argument("solve_factored_spd_lanes: size mismatch");
+  }
+  const double* r = factors.data();
+  double* x = bx.data();
+  double alpha[kL];
+  // R^T y = b, then R x = y: solve_factored_spd, one lane per problem.
+  for (std::size_t j = 0; j < n; ++j) {
+    const double* row_j = r + j * n * kL;
+    for (std::size_t l = 0; l < kL; ++l) {
+      x[j * kL + l] /= row_j[j * kL + l];
+      alpha[l] = -x[j * kL + l];
+    }
+    kernels::axpy_lanes(alpha, row_j + (j + 1) * kL, x + (j + 1) * kL,
+                        n - j - 1);
+  }
+  double dots[kL];
+  for (std::size_t i = n; i-- > 0;) {
+    const double* row_i = r + i * n * kL;
+    kernels::dot_lanes(row_i + (i + 1) * kL, x + (i + 1) * kL, n - i - 1,
+                       dots);
+    for (std::size_t l = 0; l < kL; ++l) {
+      x[i * kL + l] = (x[i * kL + l] - dots[l]) / row_i[i * kL + l];
+    }
+  }
+}
+
 void solve_spd_into(Matrix& a, std::span<double> bx,
                     std::span<double> diag_scratch) {
   const std::size_t n = a.rows();

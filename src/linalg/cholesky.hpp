@@ -75,6 +75,32 @@ void solve_factored_spd(const Matrix& r, std::span<double> bx);
 void solve_factored_spd_multi(const Matrix& r, Matrix& panel,
                               std::span<double> dot_scratch);
 
+/// Lane-batched first attempt of factor_spd + solve_factored_spd for
+/// kernels::kLanes independent n x n systems at once.  `lanes` holds the
+/// matrices interleaved — entry (i, k) of lane l at [(i * n + k) * kLanes
+/// + l]; only the diagonal and the upper triangle are read — and is
+/// overwritten with the lanes' upper factors.  Returns a bitmask with bit
+/// l set when lane l factored; a lane whose pivot is <= 0 or non-finite
+/// is left as garbage.  Every lane performs exactly the arithmetic of the
+/// first cholesky attempt inside factor_spd on that lane's matrix (the
+/// trailing updates through kernels::axpy_lanes), so a lane that factors
+/// holds the bits factor_spd would produce.  There is no retry and
+/// nothing is counted in SpdStats: a caller re-solves a failed lane
+/// through solve_spd_into / factor_spd, which runs (and counts) the full
+/// bump-and-LU ladder exactly as before.  Independent pivot chains are
+/// what this buys: kLanes sqrt/div sequences overlap instead of waiting
+/// on each other.
+unsigned factor_spd_lanes(std::span<double> lanes, std::size_t n);
+
+/// Solve kLanes systems against factor_spd_lanes factors: `bx` holds the
+/// right-hand sides interleaved (entry i of lane l at [i * kLanes + l])
+/// and receives the solutions.  Per lane bit-identical to
+/// solve_factored_spd: the forward elimination uses kernels::axpy_lanes
+/// and the back substitution kernels::dot_lanes, which replays the
+/// level's dot() per lane.  Lanes that failed to factor yield garbage.
+void solve_factored_spd_lanes(std::span<const double> factors,
+                              std::span<double> bx, std::size_t n);
+
 /// Solve a x = b for SPD a.  Retries with a diagonal bump, then falls back
 /// to LU, so callers never have to branch on definiteness themselves.
 std::vector<double> solve_spd(const Matrix& a, std::span<const double> b);

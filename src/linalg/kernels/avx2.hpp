@@ -249,4 +249,45 @@ inline void dot_panel(const double* a, const double* b, std::size_t ldb,
   }
 }
 
+/// Lane axpy (kLanes == 4 problems, one per ymm lane): per element
+/// fma(alpha[l], x, y), the same arithmetic as axpy()'s lanes and tail.
+inline void axpy_lanes(const double* alpha, const double* x, double* y,
+                       std::size_t n) {
+  static_assert(kLanes == 4, "one ymm register per interleaved element");
+  const __m256d va = _mm256_loadu_pd(alpha);
+  for (std::size_t p = 0; p < n; ++p) {
+    _mm256_storeu_pd(y + p * 4, _mm256_fmadd_pd(va, _mm256_loadu_pd(x + p * 4),
+                                                _mm256_loadu_pd(y + p * 4)));
+  }
+}
+
+/// Lane dot: out[l] = avx2::dot(lane l of a, lane l of b) bit for bit.
+/// The same replay of dot()'s chunk/lane roles as dot_panel (eight
+/// position-class accumulators, the optional 4-chunk, the fma tail chain,
+/// hsum(acc0 + acc1) + tail), with a per-lane `a` instead of a broadcast.
+inline void dot_lanes(const double* a, const double* b, std::size_t n,
+                      double* out) {
+  const auto fma_at = [&](std::size_t p, __m256d acc) {
+    return _mm256_fmadd_pd(_mm256_loadu_pd(a + p * 4),
+                           _mm256_loadu_pd(b + p * 4), acc);
+  };
+  __m256d acc[8];
+  for (int l = 0; l < 8; ++l) acc[l] = _mm256_setzero_pd();
+  std::size_t p = 0;
+  for (; p + 8 <= n; p += 8) {
+    for (int l = 0; l < 8; ++l) acc[l] = fma_at(p + l, acc[l]);
+  }
+  if (p + 4 <= n) {
+    for (int l = 0; l < 4; ++l) acc[l] = fma_at(p + l, acc[l]);
+    p += 4;
+  }
+  __m256d t = _mm256_setzero_pd();
+  for (; p < n; ++p) t = fma_at(p, t);
+  __m256d s[4];
+  for (int l = 0; l < 4; ++l) s[l] = _mm256_add_pd(acc[l], acc[l + 4]);
+  const __m256d r = _mm256_add_pd(_mm256_add_pd(s[0], s[1]),
+                                  _mm256_add_pd(s[2], s[3]));
+  _mm256_storeu_pd(out, _mm256_add_pd(r, t));
+}
+
 }  // namespace iup::linalg::kernels::avx2

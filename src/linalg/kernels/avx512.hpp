@@ -258,4 +258,47 @@ inline void dot_panel(const double* a, const double* b, std::size_t ldb,
   }
 }
 
+/// Lane axpy: per element fma(alpha[l], x, y), this level's axpy()
+/// element arithmetic.  Written with std::fma over the kLanes lanes so it
+/// needs nothing beyond AVX-512F (the compiler vectorises the lane loop).
+inline void axpy_lanes(const double* alpha, const double* x, double* y,
+                       std::size_t n) {
+  for (std::size_t p = 0; p < n; ++p) {
+    for (std::size_t l = 0; l < kLanes; ++l) {
+      y[p * kLanes + l] = std::fma(alpha[l], x[p * kLanes + l],
+                                   y[p * kLanes + l]);
+    }
+  }
+}
+
+/// Lane dot: out[l] = avx512::dot(lane l of a, lane l of b) bit for bit —
+/// dot()'s sixteen position classes, the optional 8-chunk, the fma tail
+/// chain and the hsum8(acc0 + acc1) + tail combine, replayed per lane in
+/// std::fma arithmetic like dot_panel's leftover columns.
+inline void dot_lanes(const double* a, const double* b, std::size_t n,
+                      double* out) {
+  for (std::size_t l = 0; l < kLanes; ++l) {
+    // Lane l's p-th element sits at [p * kLanes + l].
+    const auto term = [&](std::size_t p, double acc) {
+      return std::fma(a[p * kLanes + l], b[p * kLanes + l], acc);
+    };
+    double acc[16] = {};
+    std::size_t p = 0;
+    for (; p + 16 <= n; p += 16) {
+      for (int c = 0; c < 16; ++c) acc[c] = term(p + c, acc[c]);
+    }
+    if (p + 8 <= n) {
+      for (int c = 0; c < 8; ++c) acc[c] = term(p + c, acc[c]);
+      p += 8;
+    }
+    double t = 0.0;
+    for (; p < n; ++p) t = term(p, t);
+    const double s0 = acc[0] + acc[8], s1 = acc[1] + acc[9];
+    const double s2 = acc[2] + acc[10], s3 = acc[3] + acc[11];
+    const double s4 = acc[4] + acc[12], s5 = acc[5] + acc[13];
+    const double s6 = acc[6] + acc[14], s7 = acc[7] + acc[15];
+    out[l] = (((s0 + s1) + (s2 + s3)) + ((s4 + s5) + (s6 + s7))) + t;
+  }
+}
+
 }  // namespace iup::linalg::kernels::avx512

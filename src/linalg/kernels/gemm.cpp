@@ -106,11 +106,15 @@ void gemm_avx2(const double* a, std::size_t lda, const double* b,
 
 #else  // !IUP_KERNELS_AVX2
 
-void gemm_scalar(const double* a, std::size_t lda, const double* b,
-                 std::size_t ldb, double* c, std::size_t ldc, std::size_t m,
-                 std::size_t k, std::size_t n) {
-  // Naive i-k-j with the row of C as the accumulator: per element this is
-  // ascending-k mul+add, the scalar level's reference order.
+constexpr std::size_t kMr = 4;  ///< rows per register block
+constexpr std::size_t kNr = 4;  ///< columns per register block
+
+// Naive i-k-j with the row of C as the accumulator: per element this is
+// ascending-k mul+add, the scalar level's reference order.  Handles the
+// edges of the register-blocked path below.
+void ikj_block(const double* a, std::size_t lda, const double* b,
+               std::size_t ldb, double* c, std::size_t ldc, std::size_t m,
+               std::size_t k, std::size_t n) {
   for (std::size_t i = 0; i < m; ++i) {
     double* c_row = c + i * ldc;
     for (std::size_t kk = 0; kk < k; ++kk) {
@@ -118,6 +122,45 @@ void gemm_scalar(const double* a, std::size_t lda, const double* b,
       const double* b_row = b + kk * ldb;
       for (std::size_t j = 0; j < n; ++j) c_row[j] += aik * b_row[j];
     }
+  }
+}
+
+// C tile (kMr x kNr) += A rows * B columns over the full k extent, the
+// tile held in local accumulators instead of re-reading and re-writing C
+// once per k: each element is still one accumulator loaded from C and
+// fed ascending-k mul+add, so the result equals ikj_block bit for bit.
+void micro_kernel(const double* a, std::size_t lda, const double* b,
+                  std::size_t ldb, double* c, std::size_t ldc,
+                  std::size_t k) {
+  double acc[kMr][kNr];
+  for (std::size_t r = 0; r < kMr; ++r) {
+    for (std::size_t j = 0; j < kNr; ++j) acc[r][j] = c[r * ldc + j];
+  }
+  for (std::size_t kk = 0; kk < k; ++kk) {
+    const double* b_row = b + kk * ldb;
+    for (std::size_t r = 0; r < kMr; ++r) {
+      const double ark = a[r * lda + kk];
+      for (std::size_t j = 0; j < kNr; ++j) acc[r][j] += ark * b_row[j];
+    }
+  }
+  for (std::size_t r = 0; r < kMr; ++r) {
+    for (std::size_t j = 0; j < kNr; ++j) c[r * ldc + j] = acc[r][j];
+  }
+}
+
+void gemm_scalar(const double* a, std::size_t lda, const double* b,
+                 std::size_t ldb, double* c, std::size_t ldc, std::size_t m,
+                 std::size_t k, std::size_t n) {
+  const std::size_t m4 = m - m % kMr;
+  const std::size_t n4 = n - n % kNr;
+  for (std::size_t i = 0; i < m4; i += kMr) {
+    for (std::size_t j = 0; j < n4; j += kNr) {
+      micro_kernel(a + i * lda, lda, b + j, ldb, c + i * ldc + j, ldc, k);
+    }
+  }
+  if (n4 < n) ikj_block(a, lda, b + n4, ldb, c + n4, ldc, m4, k, n - n4);
+  if (m4 < m) {
+    ikj_block(a + m4 * lda, lda, b, ldb, c + m4 * ldc, ldc, m - m4, k, n);
   }
 }
 

@@ -4,7 +4,9 @@
 // dispatch level the inner kernel is a 4x8 register block (eight 256-bit
 // accumulators) fed from contiguous packed panels of A (4 rows, k-major)
 // and B (8 columns, k-major); edge tiles fall back to a scalar loop with
-// the same per-element arithmetic.
+// the same per-element arithmetic.  At the scalar level a 4x4 block of C
+// stays in local accumulators across the whole k extent (unpacked operands,
+// mul+add per element), with the i-k-j loop on the edges.
 //
 // Accumulation contract: every output element is accumulated over k in
 // ascending order into a single accumulator (loaded from C first), so the
@@ -30,7 +32,9 @@ void gemm_accumulate(const double* a, std::size_t lda, const double* b,
                      std::size_t m, std::size_t k, std::size_t n);
 
 /// True when gemm_accumulate runs the packed AVX2 block kernel (used by
-/// multiply_into to decide when routing through GEMM pays off).
+/// multiply_into to decide when routing through GEMM pays off; the
+/// scalar register block serves the sweep's RHS panels, not
+/// multiply_into).
 bool gemm_is_vectorized();
 
 }  // namespace iup::linalg::kernels

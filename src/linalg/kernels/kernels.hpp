@@ -9,7 +9,7 @@
 //
 //   kernels::dot / axpy / axpy2 / add_outer_upper / norm_sq /
 //   diff_norm_sq / masked_diff_norm_sq /
-//   dot_panel                            — forward to the active level
+//   dot_panel / axpy_lanes / dot_lanes   — forward to the active level
 //   kernels::gemm_accumulate             — register-blocked packed GEMM
 //                                          (kernels/gemm.hpp)
 //   kernels::scalar::*                   — always available (reference)
@@ -39,6 +39,12 @@
 //    step in loc/omp.cpp, which scores all N dictionary atoms in one
 //    panel pass and must pick exactly the atom (ties included) that a
 //    per-column dot loop would.
+//  * axpy_lanes / dot_lanes (the lane-batched SPD kernels behind
+//    linalg::factor_spd_lanes) are held to the same promise per lane:
+//    lane l of axpy_lanes evaluates every element with this level's
+//    axpy() arithmetic, and out[l] of dot_lanes is bit-identical to this
+//    level's dot() on contiguous copies of lane l.  Independent problems
+//    therefore share one pass without any lane seeing its neighbours.
 //  * Zero-skips (add_outer_upper rows, the multiply_into pivot skip) are
 //    exact no-ops on finite data: a contribution 0.0 * v adds +/-0, and
 //    an accumulator seeded with +0 can never round to -0, so skipping
@@ -136,6 +142,20 @@ inline double masked_diff_norm_sq(const double* mask, const double* x,
 inline void dot_panel(const double* a, const double* b, std::size_t ldb,
                       std::size_t n, std::size_t k, double* out) {
   active::dot_panel(a, b, ldb, n, k, out);
+}
+
+/// y[p*kLanes + l] += alpha[l] * x[p*kLanes + l] over n interleaved
+/// elements, each with this level's axpy() element arithmetic.
+inline void axpy_lanes(const double* alpha, const double* x, double* y,
+                       std::size_t n) {
+  active::axpy_lanes(alpha, x, y, n);
+}
+
+/// out[l] = dot(lane l of a, lane l of b) over n interleaved elements,
+/// bit-identical per lane to this level's dot() on contiguous copies.
+inline void dot_lanes(const double* a, const double* b, std::size_t n,
+                      double* out) {
+  active::dot_lanes(a, b, n, out);
 }
 
 }  // namespace iup::linalg::kernels

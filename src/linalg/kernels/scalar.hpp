@@ -12,6 +12,15 @@
 
 #include <cstddef>
 
+namespace iup::linalg::kernels {
+
+/// Lane width of the interleaved batch kernels (axpy_lanes / dot_lanes,
+/// consumed by linalg::factor_spd_lanes): kLanes independent problems are
+/// stored interleaved, element p of lane l at [p * kLanes + l].
+inline constexpr std::size_t kLanes = 4;
+
+}  // namespace iup::linalg::kernels
+
 namespace iup::linalg::kernels::scalar {
 
 /// sum_i a[i] * b[i], accumulated left to right in one scalar accumulator.
@@ -92,6 +101,31 @@ inline void dot_panel(const double* a, const double* b, std::size_t ldb,
     const double* row = b + p * ldb;
     for (std::size_t c = 0; c < k; ++c) out[c] += ap * row[c];
   }
+}
+
+/// Lane axpy: y[p*kLanes + l] += alpha[l] * x[p*kLanes + l] for p < n —
+/// per element exactly axpy()'s arithmetic, one lane per problem.
+inline void axpy_lanes(const double* alpha, const double* x, double* y,
+                       std::size_t n) {
+  for (std::size_t p = 0; p < n; ++p) {
+    for (std::size_t l = 0; l < kLanes; ++l) {
+      y[p * kLanes + l] += alpha[l] * x[p * kLanes + l];
+    }
+  }
+}
+
+/// Lane dot: out[l] = scalar::dot(lane l of a, lane l of b) over n
+/// interleaved elements, bit for bit — one sequential accumulator per
+/// lane, fed in ascending p order.
+inline void dot_lanes(const double* a, const double* b, std::size_t n,
+                      double* out) {
+  double acc[kLanes] = {};
+  for (std::size_t p = 0; p < n; ++p) {
+    for (std::size_t l = 0; l < kLanes; ++l) {
+      acc[l] += a[p * kLanes + l] * b[p * kLanes + l];
+    }
+  }
+  for (std::size_t l = 0; l < kLanes; ++l) out[l] = acc[l];
 }
 
 }  // namespace iup::linalg::kernels::scalar

@@ -4,6 +4,7 @@
 #include <unistd.h>
 
 #include <array>
+#include <bit>
 #include <cerrno>
 #include <cstring>
 #include <filesystem>
@@ -15,16 +16,34 @@ namespace iup::persist {
 
 namespace {
 
-std::array<std::uint32_t, 256> make_crc_table() {
-  std::array<std::uint32_t, 256> table{};
+// Slice-by-8 tables for the reflected 0xEDB88320 polynomial: table[0] is
+// the classic bytewise table, and table[k][b] is the CRC of byte b
+// followed by k zero bytes, so one lookup per byte of an 8-byte word
+// replaces eight dependent bytewise steps (same CRC values).
+using CrcTables = std::array<std::array<std::uint32_t, 256>, 8>;
+
+CrcTables make_crc_tables() {
+  CrcTables t{};
   for (std::uint32_t n = 0; n < 256; ++n) {
     std::uint32_t c = n;
     for (int k = 0; k < 8; ++k) {
       c = (c & 1u) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
     }
-    table[n] = c;
+    t[0][n] = c;
   }
-  return table;
+  for (std::uint32_t n = 0; n < 256; ++n) {
+    for (std::size_t k = 1; k < 8; ++k) {
+      t[k][n] = (t[k - 1][n] >> 8) ^ t[0][t[k - 1][n] & 0xFFu];
+    }
+  }
+  return t;
+}
+
+std::uint32_t load_u32_le(const std::uint8_t* p) {
+  return static_cast<std::uint32_t>(p[0]) |
+         static_cast<std::uint32_t>(p[1]) << 8 |
+         static_cast<std::uint32_t>(p[2]) << 16 |
+         static_cast<std::uint32_t>(p[3]) << 24;
 }
 
 std::string errno_message(const char* what, const std::string& path) {
@@ -57,11 +76,18 @@ api::Status write_all(int fd, std::span<const std::uint8_t> bytes,
 }  // namespace
 
 std::uint32_t crc32(std::span<const std::uint8_t> bytes) {
-  static const std::array<std::uint32_t, 256> table = make_crc_table();
+  static const CrcTables t = make_crc_tables();
   std::uint32_t c = 0xFFFFFFFFu;
-  for (const std::uint8_t b : bytes) {
-    c = table[(c ^ b) & 0xFFu] ^ (c >> 8);
+  const std::uint8_t* p = bytes.data();
+  std::size_t n = bytes.size();
+  for (; n >= 8; p += 8, n -= 8) {
+    const std::uint32_t lo = c ^ load_u32_le(p);
+    const std::uint32_t hi = load_u32_le(p + 4);
+    c = t[7][lo & 0xFFu] ^ t[6][(lo >> 8) & 0xFFu] ^
+        t[5][(lo >> 16) & 0xFFu] ^ t[4][lo >> 24] ^ t[3][hi & 0xFFu] ^
+        t[2][(hi >> 8) & 0xFFu] ^ t[1][(hi >> 16) & 0xFFu] ^ t[0][hi >> 24];
   }
+  for (; n > 0; ++p, --n) c = t[0][(c ^ *p) & 0xFFu] ^ (c >> 8);
   return c ^ 0xFFFFFFFFu;
 }
 
@@ -92,7 +118,17 @@ void ByteWriter::put_string(std::string_view v) {
 void ByteWriter::put_matrix(const linalg::Matrix& m) {
   put_u64(m.rows());
   put_u64(m.cols());
-  for (const double v : m.data()) put_f64(v);
+  if constexpr (std::endian::native == std::endian::little) {
+    // The in-memory doubles already are the little-endian IEEE bytes
+    // put_f64 would emit one by one.
+    const std::size_t size = m.data().size() * sizeof(double);
+    if (size == 0) return;  // memcpy forbids the null data() of empty
+    const std::size_t at = buffer_.size();
+    buffer_.resize(at + size);
+    std::memcpy(buffer_.data() + at, m.data().data(), size);
+  } else {
+    for (const double v : m.data()) put_f64(v);
+  }
 }
 
 bool ByteReader::get_u8(std::uint8_t& v) {
@@ -152,8 +188,16 @@ bool ByteReader::get_matrix(linalg::Matrix& m) {
   if (cols != 0 && rows > remaining() / 8 / cols) return false;
   if (rows * cols * 8 > remaining()) return false;
   m = linalg::Matrix(rows, cols);
-  for (double& v : m.data()) {
-    if (!get_f64(v)) return false;
+  if constexpr (std::endian::native == std::endian::little) {
+    const std::size_t size = m.data().size() * sizeof(double);
+    if (size > 0) {
+      std::memcpy(m.data().data(), bytes_.data() + cursor_, size);
+      cursor_ += size;
+    }
+  } else {
+    for (double& v : m.data()) {
+      if (!get_f64(v)) return false;
+    }
   }
   return true;
 }

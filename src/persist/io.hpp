@@ -9,7 +9,9 @@
 //     makes a round trip bit-exact — the same discipline as the CSV
 //     layer's byte-stable doubles, without the text detour,
 //   * strings and matrices are length-prefixed (u32 chars / u64 rows +
-//     u64 cols, then rows*cols doubles row-major).
+//     u64 cols, then rows*cols doubles row-major); on little-endian hosts
+//     a matrix body is one bulk memcpy, byte-identical to the
+//     per-element encoding.
 // The reader never throws and never reads past its span: every getter
 // returns false once the stream is short or a length prefix is
 // implausible, and the caller turns that into a precise Status.
@@ -28,8 +30,9 @@
 namespace iup::persist {
 
 /// CRC-32 (IEEE 802.3 polynomial, the zlib/PNG one) over `bytes`.
-/// Software table implementation — runs at a few GB/s, far above the
-/// fsync cost that actually bounds the durability hot path.
+/// Software slice-by-8 tables: eight bytes per step instead of one, so
+/// the checksum of every WAL record and checkpoint section stays far
+/// below the fsync cost that bounds the durability hot path.
 std::uint32_t crc32(std::span<const std::uint8_t> bytes);
 inline std::uint32_t crc32(std::string_view bytes) {
   return crc32(std::span<const std::uint8_t>(

@@ -2,9 +2,12 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <cstring>
 
 #include "core/rsvd.hpp"
 #include "core/self_augmented.hpp"
+#include "linalg/kernels/kernels.hpp"
 #include "linalg/norms.hpp"
 #include "test_util.hpp"
 
@@ -218,6 +221,92 @@ TEST(SelfAugmented, MaxItersZeroReturnsInitialFactors) {
   EXPECT_EQ(result.iterations, 0u);
   EXPECT_EQ(result.x_hat.rows(), 4u);
   EXPECT_EQ(result.x_hat.cols(), 8u);
+}
+
+// Cross-commit pin of the default solver bits.  Every other identity test
+// compares two runs of the same build; this one compares one run against
+// constants, so a change that moves any bit of the default Algorithm-1
+// trajectory (a reordered accumulation, a new kernel, a refactored RHS or
+// SPD path) fails here even when it stays internally consistent.  The
+// problem is built from integer LCG draws scaled by powers of two — every
+// conversion is exact, so nothing but the solver's own sqrt touches libm.
+// Pinned at the scalar kernel level only: the SIMD levels legitimately
+// round differently.
+struct GoldenLcg {
+  std::uint64_t state;
+  std::int64_t next(std::int64_t modulus) {
+    state = state * 6364136223846793005ull + 1442695040888963407ull;
+    return static_cast<std::int64_t>((state >> 33) %
+                                     static_cast<std::uint64_t>(modulus));
+  }
+};
+
+RsvdProblem golden_office_problem(const BandLayout& layout) {
+  const std::size_t m = layout.links;
+  const std::size_t n = layout.num_cells();
+  GoldenLcg lcg{20170605};
+  // Exactly rank-3 truth: small integer factors over 16, so every product
+  // and sum below is exact in double.
+  linalg::Matrix a(m, 3), c(n, 3);
+  for (double& v : a.data()) v = static_cast<double>(lcg.next(65) - 32) / 16;
+  for (double& v : c.data()) v = static_cast<double>(lcg.next(65) - 32) / 16;
+  RsvdProblem p;
+  p.b = linalg::Matrix(m, n, 1.0);
+  p.x_b = linalg::Matrix(m, n);
+  p.p = linalg::Matrix(m, n);
+  for (std::size_t i = 0; i < m; ++i) {
+    for (std::size_t j = 0; j < n; ++j) {
+      double x = -60.0;
+      for (std::size_t k = 0; k < 3; ++k) x += a(i, k) * c(j, k);
+      // The largely-decrease band entry is never observed; about one in
+      // ten other entries drops out too (~79% observed overall).
+      if (i == layout.band_of(j) || lcg.next(10) == 0) {
+        p.b(i, j) = 0.0;
+      } else {
+        p.x_b(i, j) = x + static_cast<double>(lcg.next(33) - 16) / 64;
+      }
+      p.p(i, j) = x + static_cast<double>(lcg.next(33) - 16) / 128;
+    }
+  }
+  p.l0 = linalg::Matrix(m, m);
+  for (double& v : p.l0.data()) v = static_cast<double>(lcg.next(129) - 64) / 32;
+  return p;
+}
+
+std::uint64_t fnv1a(std::uint64_t h, double v) {
+  std::uint64_t bits = 0;
+  std::memcpy(&bits, &v, sizeof bits);
+  for (int b = 0; b < 64; b += 8) {
+    h ^= (bits >> b) & 0xffu;
+    h *= 1099511628211ull;
+  }
+  return h;
+}
+
+std::uint64_t result_hash(const RsvdResult& r) {
+  std::uint64_t h = 14695981039346656037ull;
+  for (const linalg::Matrix* mat : {&r.x_hat, &r.l, &r.r}) {
+    for (const double v : mat->data()) h = fnv1a(h, v);
+  }
+  for (const double v : r.objective_history) h = fnv1a(h, v);
+  return h;
+}
+
+TEST(SelfAugmented, DefaultBitsMatchPinnedHashes) {
+  if (linalg::kernels::active_level() != linalg::kernels::Level::kScalar) {
+    GTEST_SKIP() << "hashes are pinned at the scalar kernel level";
+  }
+  const BandLayout layout{8, 12};
+  const RsvdProblem problem = golden_office_problem(layout);
+  RsvdOptions c1c2;  // the defaults: C1 + Gauss-Seidel C2, grouped, 60 sweeps
+  RsvdOptions c1_only;
+  c1_only.use_constraint2 = false;  // reaches the row-grouped L-update
+  const RsvdResult full = SelfAugmentedRsvd(layout, c1c2).solve(problem);
+  const RsvdResult rows = SelfAugmentedRsvd(layout, c1_only).solve(problem);
+  ASSERT_EQ(full.iterations, 60u);
+  ASSERT_GT(full.mask_groups, 0u);
+  EXPECT_EQ(result_hash(full), 0xa19143af2b6b9a9eull);
+  EXPECT_EQ(result_hash(rows), 0x436394d430593647ull);
 }
 
 // The pipeline-level fixture: reconstruct the office at day 45 with

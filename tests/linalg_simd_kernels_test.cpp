@@ -10,6 +10,7 @@
 // element, reductions by the two-lane accumulator reorder.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cmath>
 #include <cstddef>
 #include <vector>
@@ -193,10 +194,19 @@ TEST(KernelGemm, AccumulatesAscendingKAtTheActiveLevel) {
   // k with the active level's element arithmetic — FMA at kAvx2, mul+add
   // at kScalar.  Exact comparison against that reference, odd shapes
   // covering full tiles, row/column remainders and k tails.
+  // The second half sweeps every m, n in 1..9 — each register block
+  // shape with every row/column remainder — over short and long k.
   rng::Rng rng(108);
-  const std::size_t shapes[][3] = {{1, 1, 1},   {3, 5, 7},   {4, 16, 8},
-                                   {5, 17, 9},  {8, 32, 24}, {13, 19, 23},
-                                   {16, 16, 96}, {33, 7, 65}};
+  std::vector<std::array<std::size_t, 3>> shapes = {
+      {1, 1, 1},  {3, 5, 7},    {4, 16, 8},   {5, 17, 9},
+      {8, 32, 24}, {13, 19, 23}, {16, 16, 96}, {33, 7, 65}};
+  for (std::size_t m = 1; m <= 9; ++m) {
+    for (std::size_t n = 1; n <= 9; ++n) {
+      for (const std::size_t k : {1ul, 3ul, 8ul, 96ul, 200ul}) {
+        shapes.push_back({m, k, n});
+      }
+    }
+  }
   for (const auto& s : shapes) {
     const std::size_t m = s[0], k = s[1], n = s[2];
     const auto a = random_vec(m * k, rng);
@@ -290,6 +300,34 @@ TEST(KernelDotPanel, ScalarLevelMatchesScalarDot) {
     std::vector<double> col(n);
     for (std::size_t p = 0; p < n; ++p) col[p] = panel[p * k + c];
     EXPECT_EQ(out[c], scalar::dot(a.data(), col.data(), n)) << c;
+  }
+}
+
+TEST(KernelLanes, EveryLaneBitIdenticalToDotAndAxpy) {
+  // The lane-batched SPD contract: lane l of dot_lanes / axpy_lanes must
+  // reproduce the active level's dot() / axpy() on contiguous copies of
+  // that lane, across every chunk and tail length of the dot tree.
+  rng::Rng rng(113);
+  for (std::size_t n = 0; n <= 40; ++n) {
+    const auto a = random_vec(n * kLanes, rng);
+    const auto b = random_vec(n * kLanes, rng);
+    const auto alpha = random_vec(kLanes, rng);
+    double dots[kLanes];
+    dot_lanes(a.data(), b.data(), n, dots);
+    auto y = b;
+    axpy_lanes(alpha.data(), a.data(), y.data(), n);
+    for (std::size_t l = 0; l < kLanes; ++l) {
+      std::vector<double> al(n), bl(n);
+      for (std::size_t p = 0; p < n; ++p) {
+        al[p] = a[p * kLanes + l];
+        bl[p] = b[p * kLanes + l];
+      }
+      EXPECT_EQ(dots[l], dot(al.data(), bl.data(), n)) << n << " lane " << l;
+      axpy(alpha[l], al.data(), bl.data(), n);
+      for (std::size_t p = 0; p < n; ++p) {
+        EXPECT_EQ(y[p * kLanes + l], bl[p]) << n << " lane " << l;
+      }
+    }
   }
 }
 

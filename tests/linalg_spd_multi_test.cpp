@@ -121,6 +121,190 @@ TEST(SpdSolveMulti, RejectsShapeAndScratchMismatch) {
 }
 
 // ---------------------------------------------------------------------------
+// Lane-batched SPD factor + solve (linalg::factor_spd_lanes).
+// ---------------------------------------------------------------------------
+
+constexpr std::size_t kL = linalg::kernels::kLanes;
+
+/// Interleave `mats` (each n x n) into the factor_spd_lanes layout; lanes
+/// past mats.size() get the identity.
+std::vector<double> interleave(const std::vector<linalg::Matrix>& mats,
+                               std::size_t n) {
+  std::vector<double> lanes(n * n * kL);
+  for (std::size_t l = 0; l < kL; ++l) {
+    for (std::size_t a = 0; a < n; ++a) {
+      for (std::size_t b = 0; b < n; ++b) {
+        lanes[(a * n + b) * kL + l] =
+            l < mats.size() ? mats[l](a, b) : (a == b ? 1.0 : 0.0);
+      }
+    }
+  }
+  return lanes;
+}
+
+/// Run a batch: factor the lanes, solve `rhs[l]` in lane l.  Returns the
+/// ok mask; `factors[l]` / `solutions[l]` receive lane l's results.
+unsigned solve_batch(const std::vector<linalg::Matrix>& mats,
+                     const std::vector<std::vector<double>>& rhs,
+                     std::size_t n, std::vector<linalg::Matrix>& factors,
+                     std::vector<std::vector<double>>& solutions) {
+  std::vector<double> lanes = interleave(mats, n);
+  std::vector<double> bx(n * kL, 0.0);
+  for (std::size_t l = 0; l < rhs.size(); ++l) {
+    for (std::size_t a = 0; a < n; ++a) bx[a * kL + l] = rhs[l][a];
+  }
+  const unsigned ok = linalg::factor_spd_lanes(lanes, n);
+  linalg::solve_factored_spd_lanes(lanes, bx, n);
+  factors.assign(mats.size(), linalg::Matrix(n, n));
+  solutions.assign(mats.size(), std::vector<double>(n));
+  for (std::size_t l = 0; l < mats.size(); ++l) {
+    for (std::size_t a = 0; a < n; ++a) {
+      solutions[l][a] = bx[a * kL + l];
+      for (std::size_t b = a; b < n; ++b) {
+        factors[l](a, b) = lanes[(a * n + b) * kL + l];
+      }
+    }
+  }
+  return ok;
+}
+
+/// The single-system reference: factor_spd, then solve_factored_spd;
+/// `factor` keeps only the diagonal and upper triangle (the factor).
+void solve_single(const linalg::Matrix& a, std::vector<double>& x,
+                  linalg::Matrix& factor) {
+  const std::size_t n = a.rows();
+  linalg::Matrix work = a;
+  std::vector<double> diag(n);
+  ASSERT_TRUE(linalg::factor_spd(work, diag));
+  linalg::solve_factored_spd(work, x);
+  factor = linalg::Matrix(n, n);
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t j = i; j < n; ++j) factor(i, j) = work(i, j);
+  }
+}
+
+TEST(SpdLanes, EveryLaneBitIdenticalToSingleSystemPath) {
+  rng::Rng rng(310);
+  for (std::size_t n = 1; n <= 16; ++n) {
+    std::vector<linalg::Matrix> mats;
+    std::vector<std::vector<double>> rhs;
+    for (std::size_t l = 0; l < kL; ++l) {
+      mats.push_back(random_spd(n, rng));
+      rhs.push_back(test::random_matrix(n, 1, rng).col(0));
+    }
+    std::vector<linalg::Matrix> factors;
+    std::vector<std::vector<double>> solutions;
+    ASSERT_EQ(solve_batch(mats, rhs, n, factors, solutions), (1u << kL) - 1);
+    for (std::size_t l = 0; l < kL; ++l) {
+      std::vector<double> x = rhs[l];
+      linalg::Matrix factor;
+      solve_single(mats[l], x, factor);
+      EXPECT_EQ(factors[l], factor) << "n=" << n << " lane " << l;
+      EXPECT_EQ(solutions[l], x) << "n=" << n << " lane " << l << " level="
+                                 << linalg::kernels::active_level_name();
+    }
+  }
+}
+
+TEST(SpdLanes, PartialBatchesAndNeighboursDoNotChangeALane) {
+  // A lane's bits depend on its own system only: the same system gives
+  // the same answer alone (identity padding), in a partial batch, and in
+  // any position of a full batch.
+  rng::Rng rng(311);
+  const std::size_t n = 8;
+  const linalg::Matrix target = random_spd(n, rng);
+  const std::vector<double> b = test::random_matrix(n, 1, rng).col(0);
+  std::vector<double> expected = b;
+  linalg::Matrix expected_factor;
+  solve_single(target, expected, expected_factor);
+  for (std::size_t count = 1; count <= kL; ++count) {
+    for (std::size_t pos = 0; pos < count; ++pos) {
+      std::vector<linalg::Matrix> mats;
+      std::vector<std::vector<double>> rhs;
+      for (std::size_t l = 0; l < count; ++l) {
+        mats.push_back(l == pos ? target : random_spd(n, rng));
+        rhs.push_back(l == pos ? b : test::random_matrix(n, 1, rng).col(0));
+      }
+      std::vector<linalg::Matrix> factors;
+      std::vector<std::vector<double>> solutions;
+      EXPECT_EQ(solve_batch(mats, rhs, n, factors, solutions),
+                (1u << kL) - 1);  // padding lanes factor the identity
+      EXPECT_EQ(solutions[pos], expected) << count << " lanes, pos " << pos;
+      EXPECT_EQ(factors[pos], expected_factor);
+    }
+  }
+}
+
+TEST(SpdLanes, FailingLaneMidBatchReplaysTheSingleSystemLadder) {
+  // Lanes 1 and 2 fail their first attempt: a rank-deficient Gram (the
+  // single path rescues it with a diagonal bump) and an indefinite matrix
+  // (LU fallback).  The batch must flag exactly those lanes, count
+  // nothing itself, leave the healthy lanes exact — and re-solving the
+  // flagged lanes through solve_spd_into, as the sweep does, must give
+  // the results and SpdStats deltas of solve_spd_into alone.
+  rng::Rng rng(312);
+  const std::size_t n = 6;
+  linalg::Matrix indefinite = random_spd(n, rng);
+  indefinite(2, 2) = -3.0;
+  const std::vector<linalg::Matrix> mats = {
+      random_spd(n, rng), test::random_low_rank(n, n, 2, rng).gram(),
+      indefinite, random_spd(n, rng)};
+  std::vector<std::vector<double>> rhs;
+  for (std::size_t l = 0; l < kL; ++l) {
+    rhs.push_back(test::random_matrix(n, 1, rng).col(0));
+  }
+
+  // Reference: every lane through solve_spd_into on its own.
+  linalg::reset_spd_stats();
+  std::vector<std::vector<double>> expected;
+  for (std::size_t l = 0; l < kL; ++l) {
+    linalg::Matrix work = mats[l];
+    std::vector<double> x = rhs[l];
+    std::vector<double> diag(n);
+    linalg::solve_spd_into(work, x, diag);
+    expected.push_back(x);
+  }
+  const linalg::SpdStats reference = linalg::spd_stats();
+  ASSERT_EQ(reference.cholesky_failures, 2u);
+  ASSERT_EQ(reference.bump_recoveries, 1u);
+  ASSERT_EQ(reference.lu_fallbacks, 1u);
+
+  linalg::reset_spd_stats();
+  std::vector<linalg::Matrix> factors;
+  std::vector<std::vector<double>> solutions;
+  const unsigned ok = solve_batch(mats, rhs, n, factors, solutions);
+  EXPECT_EQ(ok, 0b1001u);
+  const linalg::SpdStats after_batch = linalg::spd_stats();
+  EXPECT_EQ(after_batch.cholesky_failures, 0u);
+  EXPECT_EQ(after_batch.bump_recoveries, 0u);
+  EXPECT_EQ(after_batch.lu_fallbacks, 0u);
+  for (std::size_t l = 0; l < kL; ++l) {
+    if ((ok & (1u << l)) != 0) {
+      EXPECT_EQ(solutions[l], expected[l]) << "lane " << l;
+      continue;
+    }
+    linalg::Matrix work = mats[l];
+    std::vector<double> x = rhs[l];
+    std::vector<double> diag(n);
+    linalg::solve_spd_into(work, x, diag);
+    EXPECT_EQ(x, expected[l]) << "lane " << l;
+  }
+  const linalg::SpdStats replayed = linalg::spd_stats();
+  EXPECT_EQ(replayed.cholesky_failures, reference.cholesky_failures);
+  EXPECT_EQ(replayed.bump_recoveries, reference.bump_recoveries);
+  EXPECT_EQ(replayed.lu_fallbacks, reference.lu_fallbacks);
+}
+
+TEST(SpdLanes, RejectsSizeMismatch) {
+  std::vector<double> lanes(3 * 3 * kL);
+  std::vector<double> bx(3 * kL);
+  EXPECT_THROW((void)linalg::factor_spd_lanes(lanes, 4),
+               std::invalid_argument);
+  EXPECT_THROW(linalg::solve_factored_spd_lanes(lanes, bx, 4),
+               std::invalid_argument);
+}
+
+// ---------------------------------------------------------------------------
 // Mask-grouped sweep identities.
 // ---------------------------------------------------------------------------
 
@@ -232,12 +416,11 @@ TEST(MaskGroupedSweep, PaperLiteralModeGroupedMatchesUngrouped) {
 }
 
 TEST(MaskGroupedSweep, FusedRhsSharedWalkExtremes) {
-  // The fused RHS builder walks the group's shared observed-index list
-  // once for all members.  Exercise its extremes against the ungrouped
-  // per-column walk: a fully-observed mask (one group spanning every
-  // column, empty unobserved list) and a near-empty mask (tiny shared
-  // observed list), both with Constraint 1 driving the dense fused walk
-  // and with it disabled.
+  // Mask extremes for the panel RHS and the grouped solve, against the
+  // ungrouped sweep: a fully-observed mask (one group spanning every
+  // column, empty unobserved list) and a near-empty mask (few observed
+  // rows, mostly zero source entries), both with Constraint 1 driving the
+  // second GEMM block and with it disabled.
   rng::Rng rng(309);
   const core::BandLayout layout{8, 12};
   const std::size_t m = layout.links;
@@ -278,6 +461,52 @@ TEST(MaskGroupedSweep, FusedRhsSharedWalkExtremes) {
       EXPECT_EQ(grouped.objective_history, plain.objective_history);
     }
   }
+}
+
+TEST(MaskGroupedSweep, FailingLaneInTheSweepMatchesUngroupedBitsAndStats) {
+  // lambda = 0 and one fully unobserved grid column: that column's Q is
+  // exactly zero, so its lane fails inside a batch (every column has its
+  // own mask here, so it is group 5: lane 1 of the second batch) and is
+  // rescued by the diagonal bump of the unbatched ladder.  Grouped and
+  // ungrouped sweeps must agree bit for bit AND in SpdStats.
+  rng::Rng rng(313);
+  const std::size_t m = 6, n = 10;
+  const linalg::Matrix x_full = test::random_low_rank(m, n, 2, rng);
+  core::RsvdProblem problem;
+  problem.b = linalg::Matrix(m, n, 1.0);
+  for (std::size_t j = 0; j < n; ++j) {
+    problem.b(j % m, j) = 0.0;
+    if (j >= m) problem.b((j + 1) % m, j) = 0.0;
+  }
+  for (std::size_t i = 0; i < m; ++i) problem.b(i, 5) = 0.0;
+  problem.x_b = problem.b.hadamard(x_full);
+  problem.l0 = test::random_matrix(m, 2, rng);
+
+  core::RsvdOptions options;
+  options.lambda = 0.0;
+  options.rank = 2;
+  options.max_iters = 4;
+  options.use_constraint1 = false;
+  options.use_constraint2 = false;
+  const auto run = [&](bool grouped, linalg::SpdStats& stats) {
+    options.group_masks = grouped;
+    linalg::reset_spd_stats();
+    auto result = core::SelfAugmentedRsvd(core::BandLayout{0, 0}, options)
+                      .solve(problem);
+    stats = linalg::spd_stats();
+    return result;
+  };
+  linalg::SpdStats plain_stats, grouped_stats;
+  const core::RsvdResult plain = run(false, plain_stats);
+  const core::RsvdResult grouped = run(true, grouped_stats);
+  EXPECT_GE(plain_stats.cholesky_failures, options.max_iters);
+  EXPECT_EQ(grouped_stats.cholesky_failures, plain_stats.cholesky_failures);
+  EXPECT_EQ(grouped_stats.bump_recoveries, plain_stats.bump_recoveries);
+  EXPECT_EQ(grouped_stats.lu_fallbacks, plain_stats.lu_fallbacks);
+  EXPECT_EQ(grouped.l, plain.l);
+  EXPECT_EQ(grouped.r, plain.r);
+  EXPECT_EQ(grouped.x_hat, plain.x_hat);
+  EXPECT_EQ(grouped.objective_history, plain.objective_history);
 }
 
 TEST(MaskGroupedSweep, OfficeTestbedReconstructionIsGroupedAndIdentical) {

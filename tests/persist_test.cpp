@@ -125,6 +125,55 @@ TEST(PersistIo, Crc32MatchesTheIeeeReferenceVector) {
   EXPECT_EQ(crc32(std::string_view("")), 0u);
 }
 
+TEST(PersistIo, Crc32MatchesABytewiseReferenceAtEveryLengthAndOffset) {
+  // The slice-by-8 loop must agree with the textbook one-byte-at-a-time
+  // CRC on every tail length and every alignment of the 8-byte body.
+  const auto reference = [](const std::uint8_t* p, std::size_t n) {
+    std::uint32_t c = 0xFFFFFFFFu;
+    for (std::size_t i = 0; i < n; ++i) {
+      c ^= p[i];
+      for (int k = 0; k < 8; ++k) {
+        c = (c & 1u) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
+      }
+    }
+    return c ^ 0xFFFFFFFFu;
+  };
+  rng::Rng rng(401);
+  std::vector<std::uint8_t> buffer(257 + 8);
+  for (std::uint8_t& b : buffer) {
+    b = static_cast<std::uint8_t>(rng.uniform_index(256));
+  }
+  for (std::size_t offset = 0; offset < 8; ++offset) {
+    for (std::size_t n = 0; n <= 257; ++n) {
+      const std::uint8_t* p = buffer.data() + offset;
+      EXPECT_EQ(crc32(std::span<const std::uint8_t>(p, n)), reference(p, n))
+          << "length " << n << " offset " << offset;
+    }
+  }
+}
+
+TEST(PersistIo, MatrixBodyBytesMatchThePerElementEncoding) {
+  linalg::Matrix m(4, 3);
+  double fill = -1.3;
+  for (double& v : m.data()) v = (fill *= -1.7);
+  ByteWriter bulk;
+  bulk.put_matrix(m);
+  ByteWriter per_element;
+  per_element.put_u64(m.rows());
+  per_element.put_u64(m.cols());
+  for (const double v : m.data()) per_element.put_f64(v);
+  EXPECT_EQ(bulk.bytes(), per_element.bytes());
+
+  ByteWriter empty;
+  empty.put_matrix(linalg::Matrix(0, 5));
+  ByteReader reader(empty.span());
+  linalg::Matrix out(2, 2);
+  ASSERT_TRUE(reader.get_matrix(out));
+  EXPECT_EQ(out.rows(), 0u);
+  EXPECT_EQ(out.cols(), 5u);
+  EXPECT_TRUE(reader.exhausted());
+}
+
 TEST(PersistIo, ScalarsAndMatricesRoundTripBitExactly) {
   ByteWriter writer;
   writer.put_u8(0xAB);
