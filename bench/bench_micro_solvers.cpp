@@ -452,6 +452,23 @@ void BM_KnnLocalize(benchmark::State& state) {
 }
 BENCHMARK(BM_KnnLocalize);
 
+// gram_into (the syrk_upper normal-matrix kernel) at the sweep's shapes:
+// gram(R) on the office grid (96 x 8, every L-update) and a Constraint-2
+// Theta gram (12 x 8, twice per L row).
+void BM_GramInto(benchmark::State& state) {
+  rng::Rng rng(23);
+  const std::size_t rows = static_cast<std::size_t>(state.range(0));
+  linalg::Matrix a(rows, 8);
+  for (double& v : a.data()) v = rng.normal();
+  linalg::Matrix g;
+  for (auto _ : state) {
+    linalg::gram_into(a, g);
+    benchmark::DoNotOptimize(g.data().data());
+    benchmark::ClobberMemory();
+  }
+}
+BENCHMARK(BM_GramInto)->Arg(96)->Arg(12);
+
 }  // namespace
 
 BENCHMARK_MAIN();

@@ -4,9 +4,13 @@
 # the fresh run becomes "after", so every committed file carries a
 # before/after pair.
 #
+# Every row is recorded REPS times (default 5) in one process, so
+# bench_check.py can gate on per-row medians instead of single runs.
+#
 # Usage:
 #   scripts/bench.sh            full run (MIN_TIME=0.1s per benchmark)
 #   MIN_TIME=0.01 scripts/bench.sh   CI smoke run
+#   REPS=9 scripts/bench.sh     more repetitions per row (minimum 5)
 #   FILTER='BM_Algorithm1Sweep' scripts/bench.sh   subset
 #   IUP_ARCH=x86-64-v3 scripts/bench.sh   pin the SIMD dispatch level
 #
@@ -23,6 +27,11 @@ MIN_TIME=${MIN_TIME:-0.1}
 FILTER=${FILTER:-.}
 OUT=${OUT:-BENCH_micro.json}
 IUP_ARCH=${IUP_ARCH:-native}
+REPS=${REPS:-5}
+if [ "$REPS" -lt 5 ]; then
+  echo "REPS=$REPS: a per-row median needs at least 5 repetitions" >&2
+  exit 1
+fi
 
 CMAKE_ARGS=(-DCMAKE_BUILD_TYPE=Release -DIUP_API_WERROR=ON
             -DIUP_ARCH="$IUP_ARCH")
@@ -49,18 +58,25 @@ for BIN in "${BINS[@]}"; do
   # Older google-benchmark wants a plain double for --benchmark_min_time;
   # newer releases accept it too (with a deprecation warning).
   "$BIN" --benchmark_min_time="$MIN_TIME" --benchmark_filter="$FILTER" \
-         --benchmark_format=json > "$TMP"
+         --benchmark_repetitions="$REPS" --benchmark_format=json > "$TMP"
 done
 
 python3 - "${TMPS[@]}" "$OUT" <<'EOF'
 import json
+import os
+import statistics
 import sys
 
-runs = [json.load(open(path)) for path in sys.argv[1:-1]]
+# A binary whose rows all miss FILTER writes nothing: skip it.
+runs = [json.load(open(path)) for path in sys.argv[1:-1]
+        if os.path.getsize(path) > 0]
 out_path = sys.argv[-1]
+# Keep every repetition; google-benchmark's own aggregate rows are
+# dropped (bench_check.py recomputes the medians it gates on).
 entry = {"context": runs[0].get("context", {}),
          "benchmarks": [b for run in runs
-                        for b in run.get("benchmarks", [])]}
+                        for b in run.get("benchmarks", [])
+                        if b.get("run_type") != "aggregate"]}
 try:
     with open(out_path) as f:
         prev = json.load(f)
@@ -71,7 +87,12 @@ with open(out_path, "w") as f:
     json.dump(doc, f, indent=1)
     f.write("\n")
 
+reps = {}
 for b in entry["benchmarks"]:
-    print(f"{b['name']:40s} {b['real_time'] / 1e6:10.3f} ms")
+    reps.setdefault(b.get("run_name", b["name"]), []).append(b["real_time"])
+for name, times in reps.items():
+    print(f"{name:40s} {statistics.median(times) / 1e6:10.3f} ms "
+          f"(median of {len(times)}, {min(times) / 1e6:.3f}-"
+          f"{max(times) / 1e6:.3f})")
 print(f"wrote {out_path}")
 EOF

@@ -3,7 +3,11 @@
 
 Compares a fresh micro-bench run against a baseline and FAILS (exit 1)
 when any benchmark's wall-clock real_time regressed by more than
---max-regression (default 25%).  Two baseline sources:
+--max-regression (default 25%).  Each row is the MEDIAN over its recorded
+repetitions (scripts/bench.sh records at least 5 per row; an older file
+with one run per row is its own median), so a single slow repetition
+cannot fail the gate and a single fast one cannot hide a regression.
+Two baseline sources:
 
 - --baseline FILE: a run produced on the SAME machine (CI benches the
   base commit in the same job and passes it here).  Preferred — timings
@@ -32,6 +36,7 @@ Usage:
 import argparse
 import json
 import re
+import statistics
 import sys
 
 # Wall-clock depends on the host's core count for these, not on the code.
@@ -81,13 +86,19 @@ ROW_NOISE_FLOORS = [
 
 
 def load_rows(section):
-    rows = {}
+    """Per-row medians over the repetitions of each benchmark."""
+    samples = {}
     for b in section.get("benchmarks", []):
-        rows[b["name"]] = b["real_time"]
+        if b.get("run_type") == "aggregate":
+            continue
+        name = b.get("run_name", b["name"])
+        samples.setdefault(name, []).append(b["real_time"])
         for counter in LATENCY_COUNTERS:
             if counter in b:
-                rows[f"{b['name']}@{counter}"] = b[counter] * 1000.0  # -> ns
-    return rows
+                # -> ns
+                samples.setdefault(f"{name}@{counter}", []).append(
+                    b[counter] * 1000.0)
+    return {name: statistics.median(v) for name, v in samples.items()}
 
 
 def main():

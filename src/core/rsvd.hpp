@@ -55,10 +55,11 @@ struct RsvdOptions {
   /// Batch the per-column solves of the R-update (and, when Constraint 2
   /// is inactive, the per-row solves of the L-update) by observation-mask
   /// signature: columns whose normal matrix Q is provably identical share
-  /// one factor_spd and solve as a multi-RHS panel.  Results are
-  /// bit-identical to the ungrouped sweep at every thread count (the
-  /// invariant is documented in self_augmented.hpp); the knob exists for
-  /// the grouped-vs-ungrouped identity tests and A/B benches.
+  /// one factor_spd and solve as a multi-RHS panel; groups (and, under
+  /// Constraint 2, single L rows) factor kernels::kLanes at a time.
+  /// Results are bit-identical to the unbatched sweep at every thread
+  /// count (the invariant is documented in self_augmented.hpp); the knob
+  /// exists for the batched-vs-unbatched identity tests and A/B benches.
   bool group_masks = true;
   /// Opt-in objective-stagnation early stop: when > 0, a sweep that
   /// still improves the objective but whose relative improvement

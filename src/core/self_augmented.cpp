@@ -57,27 +57,47 @@ namespace iup::core {
 
 namespace {
 
-// theta_j columns are stored as rows of R; these helpers keep the algebra
-// readable.
+// The normal matrices Q are symmetric, so every Q build fills only the
+// diagonal and upper triangle (half the flops of the dense update) in
+// register-tiled kernels::syrk_assemble_upper passes, and the lower
+// triangle is mirrored only where a full matrix is consumed
+// (symmetrize_lower).  The mirrored Q is exactly symmetric and fully
+// deterministic (in particular thread-count invariant); it may differ
+// from a dense two-triangle accumulation at ulp level, because a weighted
+// lower entry would round as (w*v[b])*v[a] rather than the mirrored
+// (w*v[a])*v[b].
 //
-// The normal matrices Q are symmetric, so the outer-product accumulation
-// only fills the upper triangle (half the flops of the dense update);
-// symmetrize_lower() mirrors it once per solve.  The mirrored Q is exactly
-// symmetric and fully deterministic (in particular thread-count
-// invariant); it may differ from a dense two-triangle accumulation at ulp
-// level, because a weighted lower entry would round as (w*v[b])*v[a]
-// rather than the mirrored (w*v[a])*v[b].  The suffix axpys run through
-// the SIMD kernel layer (linalg/kernels/).
-void add_outer(linalg::Matrix& q, std::span<const double> v, double weight) {
-  linalg::kernels::add_outer_upper(weight, v.data(), v.size(),
-                                   q.data().data(), q.cols());
-}
-
+// A Q build writes entry (a, b) at dest[(a * n + b) * inc]: inc = 1 fills
+// a Matrix, inc = kLanes writes straight into one lane slot of
+// linalg::factor_spd_lanes' interleaved batch, with the identical
+// per-element op sequence either way.
 void symmetrize_lower(linalg::Matrix& q) {
   const std::size_t n = q.rows();
   for (std::size_t a = 1; a < n; ++a) {
     for (std::size_t b = 0; b < a; ++b) q(a, b) = q(b, a);
   }
+}
+
+/// The data and Constraint-1 part of one normal matrix, shared by the R-
+/// and L-updates: the seed (lambda*I + F^T F), minus the outer products
+/// of the unobserved rows of F (complement form), plus w1 F^T F.  The
+/// caller appends its Constraint-2 terms as `post` and runs the whole
+/// plan as one kernels::syrk_assemble_upper pass.
+linalg::kernels::SyrkPlan base_plan(const linalg::Matrix& seed,
+                                    const linalg::Matrix& f,
+                                    const std::vector<std::size_t>& unobserved,
+                                    double w1, const linalg::Matrix& gram) {
+  const std::size_t n = seed.rows();
+  return {.seed = seed.data().data(),
+          .lds = n,
+          .pre = {.v = f.data().data(),
+                  .ldv = n,
+                  .k = unobserved.size(),
+                  .index = unobserved.data(),
+                  .weight = -1.0},
+          .x = w1 > 0.0 ? gram.data().data() : nullptr,
+          .ldx = n,
+          .alpha = w1};
 }
 
 double row_norm_sq(const linalg::Matrix& m, std::size_t row) {
@@ -110,9 +130,8 @@ struct ThreadWorkspace {
   // Lane batch of up to kLanes groups (factor_spd_lanes layout).
   std::vector<double> lane_q;  ///< rr x rr x kLanes interleaved Q / factors
   std::vector<double> lane_b;  ///< rr x kLanes interleaved singleton RHS
-  // L-update Constraint-2 scratch (Theta_i stored transposed: row u of
-  // theta_t is the factor of band cell (i, u) — a contiguous copy of a row
-  // of R instead of a strided column write).
+  // L-update Constraint-2 scratch (theta_t: a copy of the R rows of band
+  // i's cells, Theta_i^T, as multiply_into's operand).
   linalg::Matrix theta_t;  ///< slots x rr
   linalg::Matrix tg;       ///< slots x rr: G^T Theta^T
   linalg::Matrix gbuf;     ///< rr x rr: (Theta G)(Theta G)^T
@@ -138,12 +157,16 @@ struct SweepContext {
   // replaces ~dense-many rank-1 updates by ~(1-density)-many.
   std::vector<std::vector<std::size_t>> unobs_rows;  ///< per column j
   std::vector<std::vector<std::size_t>> unobs_cols;  ///< per row i
+  // Constraint-2 curvature scalars, fixed per solve (c2_curvature).
+  std::vector<double> slot_w2c;  ///< w2 ||G(jj,:)||^2 per slot jj
+  std::vector<double> band_w3c;  ///< similarity curvature per band ii
   // Mask groups, built once per solve when RsvdOptions::group_masks (the
   // grouping depends only on B, the layout and the constraint weights —
   // all fixed across sweeps).  Empty vectors select the ungrouped sweep.
   std::vector<MaskGroup> col_groups;  ///< R-update (grid columns)
-  std::vector<MaskGroup> row_groups;  ///< L-update; only when Q is
-                                      ///< mask-only (Constraint 2 inactive)
+  std::vector<MaskGroup> row_groups;  ///< L-update: by signature when Q
+                                      ///< is mask-only, singletons under
+                                      ///< Constraint 2 (lane batches only)
   // Member-count prefix offsets of the groups above: the grouped fan-out
   // partitions this virtual index space (one slot per member) so chunk
   // work stays balanced when group sizes are skewed — a chunk executes
@@ -212,7 +235,8 @@ void solve_factored_group(const MaskGroup& grp, ThreadWorkspace& ws,
 template <typename BuildQ>
 void solve_mask_group(const MaskGroup& grp, ThreadWorkspace& ws,
                       linalg::Matrix& out, const BuildQ& build_q) {
-  build_q(ws.q, grp.members.front());
+  build_q(ws, ws.q.data().data(), 1, grp.members.front());
+  symmetrize_lower(ws.q);
   if (grp.members.size() == 1) {
     linalg::solve_spd_into(ws.q, out.row_span(grp.members.front()), ws.diag);
     return;
@@ -234,7 +258,8 @@ void solve_mask_group(const MaskGroup& grp, ThreadWorkspace& ws,
   solve_factored_group(grp, ws, out);
 }
 
-/// Solve groups [g0, g1) in lane batches of up to kLanes: their Qs factor
+/// Solve groups [g0, g1) in lane batches of up to kLanes: each group's Q
+/// is assembled straight into its lane slot and the batch factors
 /// together through linalg::factor_spd_lanes (independent pivot chains
 /// instead of one latency-bound chain per group), singleton groups also
 /// solve as lanes, and a multi-member group copies its lane's factor out
@@ -244,6 +269,8 @@ void solve_mask_group(const MaskGroup& grp, ThreadWorkspace& ws,
 /// re-solved from a rebuilt Q through solve_mask_group, whose ladder
 /// (bump retries, LU fallback, SpdStats counts) is exactly the unbatched
 /// one — the lane attempt itself counts nothing.
+/// `build_q(ws, dest, inc, index)` writes the diagonal and upper triangle
+/// of one member's Q at dest[(a * n + b) * inc].
 template <typename BuildQ>
 void solve_mask_groups_lanes(const std::vector<MaskGroup>& groups,
                              std::size_t g0, std::size_t g1,
@@ -260,12 +287,14 @@ void solve_mask_groups_lanes(const std::vector<MaskGroup>& groups,
     const std::size_t count = std::min(kL, g1 - g);
     for (std::size_t l = 0; l < kL; ++l) {
       const MaskGroup* grp = l < count ? &groups[g + l] : nullptr;
-      // Padding lanes factor the identity and solve a zero RHS.
-      if (grp != nullptr) build_q(ws.q, grp->members.front());
-      for (std::size_t a = 0; a < n; ++a) {
-        for (std::size_t b = a; b < n; ++b) {
-          ws.lane_q[at(a, b, l)] =
-              grp != nullptr ? ws.q(a, b) : (a == b ? 1.0 : 0.0);
+      if (grp != nullptr) {
+        build_q(ws, ws.lane_q.data() + l, kL, grp->members.front());
+      } else {
+        // Padding lanes factor the identity and solve a zero RHS.
+        for (std::size_t a = 0; a < n; ++a) {
+          for (std::size_t b = a; b < n; ++b) {
+            ws.lane_q[at(a, b, l)] = a == b ? 1.0 : 0.0;
+          }
         }
       }
       const bool single = grp != nullptr && grp->members.size() == 1;
@@ -407,24 +436,29 @@ linalg::Matrix SelfAugmentedRsvd::initial_factor(
   return l0;
 }
 
-std::pair<double, double> SelfAugmentedRsvd::c2_curvature(
-    const Weights& w, std::size_t j) const {
-  double w2c = 0.0;
-  double w3c = 0.0;
-  const std::size_t ii = layout_.band_of(j);
-  if (w.w2 > 0.0) w2c = w.w2 * row_norm_sq(g_, layout_.slot_of(j));
-  if (w.w3 > 0.0) {
-    if (options_.c2_mode == Constraint2Mode::kGaussSeidel) {
-      double count = 0.0;
-      if (ii > 0) count += 1.0;
-      if (ii + 1 < layout_.links) count += 1.0;
-      w3c = w.w3 * count;
-    } else {
-      // Published curvature: ||H(:, ii)||^2, repair (1) applied.
-      w3c = w.w3 * (ii + 1 < layout_.links ? 2.0 : 1.0);
+void SelfAugmentedRsvd::c2_curvature(const Weights& w,
+                                     std::vector<double>& slot_w2c,
+                                     std::vector<double>& band_w3c) const {
+  slot_w2c.assign(layout_.slots, 0.0);
+  band_w3c.assign(layout_.links, 0.0);
+  if (w.w2 > 0.0) {
+    for (std::size_t jj = 0; jj < layout_.slots; ++jj) {
+      slot_w2c[jj] = w.w2 * row_norm_sq(g_, jj);
     }
   }
-  return {w2c, w3c};
+  if (w.w3 > 0.0) {
+    for (std::size_t ii = 0; ii < layout_.links; ++ii) {
+      if (options_.c2_mode == Constraint2Mode::kGaussSeidel) {
+        double count = 0.0;
+        if (ii > 0) count += 1.0;
+        if (ii + 1 < layout_.links) count += 1.0;
+        band_w3c[ii] = w.w3 * count;
+      } else {
+        // Published curvature: ||H(:, ii)||^2, repair (1) applied.
+        band_w3c[ii] = w.w3 * (ii + 1 < layout_.links ? 2.0 : 1.0);
+      }
+    }
+  }
 }
 
 SelfAugmentedRsvd::Weights SelfAugmentedRsvd::effective_weights(
@@ -544,25 +578,21 @@ void SelfAugmentedRsvd::update_r(const RsvdProblem& problem, const Weights& w,
   // complement form: Q = (lambda*I + L^T L) minus the unobserved rows'
   // outer products, instead of lambda*I plus the observed ones — far
   // fewer rank-1 updates on realistic dense masks, identical curvature
-  // up to rounding.
-  const auto build_q = [&](linalg::Matrix& q, std::size_t j) {
-    std::copy(ctx.lql.data().begin(), ctx.lql.data().end(),
-              q.data().begin());
-    for (const std::size_t i : ctx.unobs_rows[j]) {
-      add_outer(q, l.row_span(i), -1.0);
-    }
-    // Constraint 1: w1 ||L theta - p_j||^2 over all links.
-    if (w.w1 > 0.0) linalg::add_scaled(q, w.w1, ctx.ltl);
-    // Constraint 2: only the band entry (ii, jj) of column j is a
-    // largely-decrease element.  The curvature scalars come from
-    // c2_curvature — the same helper the mask-group signature encodes.
+  // up to rounding.  Constraint 1 adds w1 ||L theta - p_j||^2 over all
+  // links; Constraint 2 only the band entry (ii, jj) of column j, a
+  // largely-decrease element, whose curvature scalars come from the
+  // per-solve tables the mask-group signature also encodes.
+  const auto build_q = [&](ThreadWorkspace&, double* dest, std::size_t inc,
+                           std::size_t j) {
+    auto plan = base_plan(ctx.lql, l, ctx.unobs_rows[j], w.w1, ctx.ltl);
+    double band_w[2];
     if (c2) {
-      const auto l_band = l.row_span(layout_.band_of(j));
-      const auto [w2c, w3c] = c2_curvature(w, j);
-      if (w.w2 > 0.0) add_outer(q, l_band, w2c);
-      if (w.w3 > 0.0) add_outer(q, l_band, w3c);
+      plan.post = {.v = l.row_span(layout_.band_of(j)).data(),
+                   .weights = band_w};
+      if (w.w2 > 0.0) band_w[plan.post.k++] = ctx.slot_w2c[layout_.slot_of(j)];
+      if (w.w3 > 0.0) band_w[plan.post.k++] = ctx.band_w3c[layout_.band_of(j)];
     }
-    symmetrize_lower(q);
+    linalg::kernels::syrk_assemble_upper(plan, rr, dest, rr * inc, inc);
   };
 
   // Constraint-2 Gauss-Seidel cross terms of column j, appended AFTER the
@@ -627,7 +657,8 @@ void SelfAugmentedRsvd::update_r(const RsvdProblem& problem, const Weights& w,
       ws.diag.resize(rr);
       build_rhs(begin, end);
       for (std::size_t j = begin; j < end; ++j) {
-        build_q(ws.q, j);
+        build_q(ws, ws.q.data().data(), 1, j);
+        symmetrize_lower(ws.q);
         linalg::solve_spd_into(ws.q, ctx.r_next.row_span(j), ws.diag);
       }
     });
@@ -681,26 +712,58 @@ void SelfAugmentedRsvd::update_l(const RsvdProblem& problem, const Weights& w,
 
   ctx.l_next.resize(m, rr);
 
-  // Q for row i, data + Constraint-1 terms only (complement-form data
-  // term, mirroring update_r) — shared verbatim by the grouped and
-  // ungrouped paths below so they cannot drift apart.  The Q stream stops
-  // before the Constraint-2 curvature: the ungrouped loop appends it, the
-  // grouped path (mask-only Q by construction) symmetrizes directly.
-  const auto build_q_base = [&](linalg::Matrix& q, std::size_t i) {
-    std::copy(ctx.rql.data().begin(), ctx.rql.data().end(),
-              q.data().begin());
-    for (const std::size_t j : ctx.unobs_cols[i]) {
-      add_outer(q, r.row_span(j), -1.0);
+  // Q for row i — data + Constraint-1 terms in complement form (mirroring
+  // update_r), then the Constraint-2 curvature of band row i: continuity
+  // (Gauss-Seidel: row i of X_D*G is (l_i Theta_i) G, exactly quadratic
+  // in l_i with curvature (Theta G)(Theta G)^T = gram(G^T Theta^T);
+  // literal: the per-slot curvature scalars) and similarity
+  // (Theta Theta^T times the band's curvature scalar).  One routine for
+  // every path, so the lane, ladder and unbatched builds cannot drift.
+  const auto build_q = [&](ThreadWorkspace& ws, double* dest, std::size_t inc,
+                           std::size_t i) {
+    linalg::kernels::syrk_assemble_upper(
+        base_plan(ctx.rql, r, ctx.unobs_cols[i], w.w1, ctx.rtr), rr, dest,
+        rr * inc, inc);
+    if (!c2) return;
+    // Theta_i^T: band i's cells (i, 0..slots-1) are consecutive rows of R.
+    const std::size_t slots = layout_.slots;
+    const double* theta = r.row_span(layout_.cell(i, 0)).data();
+    if (w.w2 > 0.0) {
+      if (gauss_seidel) {
+        std::copy(theta, theta + slots * rr, ws.theta_t.data().begin());
+        linalg::multiply_into(g_t_, ws.theta_t, ws.tg);
+        linalg::gram_into(ws.tg, ws.gbuf);
+        linalg::kernels::syrk_assemble_upper(
+            {.x = ws.gbuf.data().data(), .ldx = rr, .alpha = w.w2}, rr, dest,
+            rr * inc, inc);
+      } else {
+        linalg::kernels::syrk_upper({.v = theta,
+                                     .ldv = rr,
+                                     .k = slots,
+                                     .weights = ctx.slot_w2c.data()},
+                                    rr, dest, rr * inc, inc);
+      }
     }
-    if (w.w1 > 0.0) linalg::add_scaled(q, w.w1, ctx.rtr);
+    if (w.w3 > 0.0) {
+      // Theta Theta^T: only its upper triangle is consumed.
+      ws.ttt.resize(rr, rr, 0.0);
+      linalg::kernels::syrk_upper({.v = theta, .ldv = rr, .k = slots}, rr,
+                                  ws.ttt.data().data(), rr, 1);
+      linalg::kernels::syrk_assemble_upper(
+          {.x = ws.ttt.data().data(), .ldx = rr, .alpha = ctx.band_w3c[i]},
+          rr, dest, rr * inc, inc);
+    }
   };
 
   // Right-hand sides of sweep slots [t0, t1): the rows
   // [B o X_B | w1 P] R of one GEMM block per term, ascending j per element
   // (the historical per-row axpy order), copied into the slots' output
-  // rows.
+  // rows; then the Gauss-Seidel similarity cross term w3 Theta_i s_i with
+  // s_i the neighbouring links' current X_D rows, accumulated row by row
+  // of Theta_i^T (the same ascending-u order as the dense product).
   ctx.l_panel.resize(m, rr);  // zero-filled: the GEMMs accumulate into it
-  const auto build_rhs = [&](std::size_t t0, std::size_t t1) {
+  const auto build_rhs = [&](ThreadWorkspace& ws, std::size_t t0,
+                             std::size_t t1) {
     double* panel = ctx.l_panel.data().data() + t0 * rr;
     const std::size_t ld = ctx.rhs_src_l.cols();
     const double* src = ctx.rhs_src_l.data().data() + t0 * ld;
@@ -709,40 +772,32 @@ void SelfAugmentedRsvd::update_l(const RsvdProblem& problem, const Weights& w,
                                        panel, rr, t1 - t0, n, rr);
     }
     for (std::size_t t = t0; t < t1; ++t) {
+      const std::size_t i = ctx.row_order[t];
       const auto row = ctx.l_panel.row_span(t);
-      std::copy(row.begin(), row.end(),
-                ctx.l_next.row_span(ctx.row_order[t]).begin());
+      const auto c = ctx.l_next.row_span(i);
+      std::copy(row.begin(), row.end(), c.begin());
+      if (!c2 || !gauss_seidel || w.w3 <= 0.0) continue;
+      std::fill(ws.neighbor_sum.begin(), ws.neighbor_sum.end(), 0.0);
+      if (i > 0) {
+        for (std::size_t u = 0; u < layout_.slots; ++u) {
+          ws.neighbor_sum[u] += ctx.xd_cur(i - 1, u);
+        }
+      }
+      if (i + 1 < layout_.links) {
+        for (std::size_t u = 0; u < layout_.slots; ++u) {
+          ws.neighbor_sum[u] += ctx.xd_cur(i + 1, u);
+        }
+      }
+      std::fill(ws.contrib.begin(), ws.contrib.end(), 0.0);
+      for (std::size_t u = 0; u < layout_.slots; ++u) {
+        linalg::axpy(ws.neighbor_sum[u], r.row_span(layout_.cell(i, u)),
+                     ws.contrib);
+      }
+      linalg::axpy(w.w3, ws.contrib, c);
     }
   };
 
-  if (!ctx.row_groups.empty()) {
-    // Mask-grouped L-update.  Only reached when Constraint 2 is inactive
-    // (solve() builds row_groups for mask-only Q), so Q is exactly
-    // (lambda*I + R^T R) minus the unobserved columns' outer products
-    // plus the optional Constraint-1 curvature — identical for rows
-    // sharing an unobserved set.
-    const auto build_q = [&](linalg::Matrix& q, std::size_t i) {
-      build_q_base(q, i);
-      symmetrize_lower(q);
-    };
-    for_each_group_chunked(
-        ctx.threads, m, ctx.row_group_starts,
-        [&](std::size_t g0, std::size_t g1, std::size_t slot) {
-          ThreadWorkspace& ws = ctx.ws[slot];
-          ws.q.resize(rr, rr);
-          ws.diag.resize(rr);
-          build_rhs(group_slot(ctx.row_group_starts, g0, m),
-                    group_slot(ctx.row_group_starts, g1, m));
-          solve_mask_groups_lanes(ctx.row_groups, g0, g1, ws, ctx.l_next,
-                                  build_q);
-        });
-    return;
-  }
-
-  parallel::parallel_for(ctx.threads, m, [&](std::size_t begin,
-                                             std::size_t end,
-                                             std::size_t slot) {
-    ThreadWorkspace& ws = ctx.ws[slot];
+  const auto prepare = [&](ThreadWorkspace& ws) {
     ws.q.resize(rr, rr);
     ws.diag.resize(rr);
     if (c2) {
@@ -750,69 +805,40 @@ void SelfAugmentedRsvd::update_l(const RsvdProblem& problem, const Weights& w,
       ws.neighbor_sum.resize(layout_.slots);
       ws.contrib.resize(rr);
     }
-    build_rhs(begin, end);
-    for (std::size_t i = begin; i < end; ++i) {
-      linalg::Matrix& q = ws.q;
-      build_q_base(q, i);
-      const auto c = ctx.l_next.row_span(i);
+  };
 
-      if (c2) {
-        // Theta_i stored transposed: row u of theta_t is the factor of
-        // band cell (i, u) — one contiguous copy per slot.
-        for (std::size_t u = 0; u < layout_.slots; ++u) {
-          r.copy_row_into(layout_.cell(i, u), ws.theta_t.row_span(u));
-        }
-        if (w.w2 > 0.0) {
-          if (gauss_seidel) {
-            // Row i of X_D*G is (l_i Theta_i) G: exactly quadratic in l_i
-            // with curvature (Theta G)(Theta G)^T = gram(G^T Theta^T).
-            linalg::multiply_into(g_t_, ws.theta_t, ws.tg);
-            linalg::gram_into(ws.tg, ws.gbuf);
-            linalg::add_scaled(q, w.w2, ws.gbuf);
-          } else {
-            for (std::size_t u = 0; u < layout_.slots; ++u) {
-              add_outer(q, ws.theta_t.row_span(u),
-                        w.w2 * row_norm_sq(g_, u));
-            }
-          }
-        }
-        if (w.w3 > 0.0) {
-          linalg::gram_into(ws.theta_t, ws.ttt);  // Theta Theta^T
-          if (gauss_seidel) {
-            double count = 0.0;
-            std::fill(ws.neighbor_sum.begin(), ws.neighbor_sum.end(), 0.0);
-            if (i > 0) {
-              count += 1.0;
-              for (std::size_t u = 0; u < layout_.slots; ++u) {
-                ws.neighbor_sum[u] += ctx.xd_cur(i - 1, u);
-              }
-            }
-            if (i + 1 < layout_.links) {
-              count += 1.0;
-              for (std::size_t u = 0; u < layout_.slots; ++u) {
-                ws.neighbor_sum[u] += ctx.xd_cur(i + 1, u);
-              }
-            }
-            linalg::add_scaled(q, w.w3 * count, ws.ttt);
-            // contrib = Theta * neighbor_sum, accumulated row by row of
-            // theta_t (same ascending-u order as the dense product).
-            std::fill(ws.contrib.begin(), ws.contrib.end(), 0.0);
-            for (std::size_t u = 0; u < layout_.slots; ++u) {
-              linalg::axpy(ws.neighbor_sum[u], ws.theta_t.row_span(u),
-                           ws.contrib);
-            }
-            linalg::axpy(w.w3, ws.contrib, c);
-          } else {
-            const double h_col_sq = i + 1 < layout_.links ? 2.0 : 1.0;
-            linalg::add_scaled(q, w.w3 * h_col_sq, ws.ttt);
-          }
-        }
+  if (ctx.row_groups.empty()) {
+    // Unbatched sweep (RsvdOptions::group_masks off): one Q + one
+    // solve_spd_into per row — the reference the batched path must match.
+    parallel::parallel_for(ctx.threads, m, [&](std::size_t begin,
+                                               std::size_t end,
+                                               std::size_t slot) {
+      ThreadWorkspace& ws = ctx.ws[slot];
+      prepare(ws);
+      build_rhs(ws, begin, end);
+      for (std::size_t i = begin; i < end; ++i) {
+        build_q(ws, ws.q.data().data(), 1, i);
+        symmetrize_lower(ws.q);
+        linalg::solve_spd_into(ws.q, ctx.l_next.row_span(i), ws.diag);
       }
+    });
+    return;
+  }
 
-      symmetrize_lower(q);
-      linalg::solve_spd_into(q, c, ws.diag);
-    }
-  });
+  // Batched L-update: mask groups when Q is mask-only (Constraint 2 off:
+  // rows sharing an unobserved set share Q exactly), singleton groups
+  // under Constraint 2 (the per-row Theta curvature makes every Q unique)
+  // — either way kLanes groups factor and solve together.
+  for_each_group_chunked(
+      ctx.threads, m, ctx.row_group_starts,
+      [&](std::size_t g0, std::size_t g1, std::size_t slot) {
+        ThreadWorkspace& ws = ctx.ws[slot];
+        prepare(ws);
+        build_rhs(ws, group_slot(ctx.row_group_starts, g0, m),
+                  group_slot(ctx.row_group_starts, g1, m));
+        solve_mask_groups_lanes(ctx.row_groups, g0, g1, ws, ctx.l_next,
+                                build_q);
+      });
 }
 
 RsvdResult SelfAugmentedRsvd::solve(const RsvdProblem& problem) const {
@@ -856,6 +882,8 @@ RsvdResult SelfAugmentedRsvd::solve(const RsvdProblem& problem) const {
     }
   }
 
+  c2_curvature(w, ctx.slot_w2c, ctx.band_w3c);
+
   // Mask grouping (the invariant is documented in the header): a column's
   // Q depends on the mask/layout structure and the current factor only —
   // never on the column's observed values — so columns whose Q-defining
@@ -894,17 +922,22 @@ RsvdResult SelfAugmentedRsvd::solve(const RsvdProblem& problem) const {
         [&](std::string& key, std::size_t j) {
           if (!c2) return;
           append_word(key, static_cast<std::uint64_t>(layout_.band_of(j)));
-          const auto [w2c, w3c] = c2_curvature(w, j);
-          append_word(key, std::bit_cast<std::uint64_t>(w2c));
-          append_word(key, std::bit_cast<std::uint64_t>(w3c));
+          append_word(key, std::bit_cast<std::uint64_t>(
+                               ctx.slot_w2c[layout_.slot_of(j)]));
+          append_word(key, std::bit_cast<std::uint64_t>(
+                               ctx.band_w3c[layout_.band_of(j)]));
         },
         ctx.col_groups);
     // The L-update's Q gains per-row Theta curvature under Constraint 2,
-    // which makes every row unique; group rows only when Q is mask-only.
+    // which makes every row unique; group rows only when Q is mask-only,
+    // otherwise every row is its own group (lane-batched solves only).
     if (!c2) {
       group_by_signature(
           m, ctx.unobs_cols, [](std::string&, std::size_t) {},
           ctx.row_groups);
+    } else {
+      ctx.row_groups.resize(m);
+      for (std::size_t i = 0; i < m; ++i) ctx.row_groups[i].members = {i};
     }
     const auto prefix_starts = [](const std::vector<MaskGroup>& groups,
                                   std::vector<std::size_t>& starts) {

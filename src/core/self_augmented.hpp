@@ -49,17 +49,22 @@
 //    [B o X_B | w1 P] [R ; R] — each element accumulated ascending like
 //    the old per-column axpys (unobserved entries add an exact zero).
 //    The Constraint-2 cross terms are appended afterwards, as before.
-//  * SPD solves: the R- (and grouped L-) update factors up to
-//    kernels::kLanes groups' Qs at once through linalg::factor_spd_lanes,
-//    each lane bit-identical to factor_spd + solve_factored_spd; a lane
-//    that fails re-runs the unbatched retry / LU ladder.
+//  * Normal matrices: each Q is one kernels::syrk_assemble_upper pass
+//    (seed, unobserved outer products, w1 term, band terms) whose
+//    register tiles live across all its terms, written straight into
+//    its lane slot of the batch below.
+//  * SPD solves: the R- and L-updates factor up to kernels::kLanes
+//    groups' Qs at once through linalg::factor_spd_lanes (under
+//    Constraint 2 every L row is its own group), each lane bit-identical
+//    to factor_spd + solve_factored_spd; a lane that fails rebuilds its
+//    Q and re-runs the unbatched retry / LU ladder.
 // Guarantees: grouped and ungrouped sweeps are exactly equal, at every
 // thread count and kernel dispatch level (tests/linalg_spd_multi_test.cpp),
 // and the default trajectory's bits are pinned across commits
 // (tests/core_rsvd_test.cpp).
 #pragma once
 
-#include <utility>
+#include <vector>
 
 #include "core/fingerprint.hpp"
 #include "core/rsvd.hpp"
@@ -101,15 +106,18 @@ class SelfAugmentedRsvd {
   /// warm-start matrix, also the reference iterate for auto-scaling.
   linalg::Matrix warm_matrix(const RsvdProblem& problem) const;
 
-  /// The two scalar Constraint-2 curvature weights of column j's normal
-  /// matrix (the coefficients of its l_band outer products): {w2c, w3c}
-  /// with w2c = w2 ||G(jj,:)||^2 and w3c the similarity count /
-  /// h-column factor of band ii.  Single source of truth for the
-  /// R-update's Q build AND solve()'s mask-group signature — the
-  /// grouping invariant is only sound while the signature encodes
-  /// exactly the scalars the Q build applies.
-  std::pair<double, double> c2_curvature(const Weights& w,
-                                         std::size_t j) const;
+  /// The scalar Constraint-2 curvature weights, computed once per solve:
+  /// slot_w2c[jj] = w2 ||G(jj,:)||^2 and band_w3c[ii] = w3 times the
+  /// similarity count / h-column factor of band ii (zeros for a disabled
+  /// term).  Column j's normal matrix applies slot_w2c[slot_of(j)] and
+  /// band_w3c[band_of(j)] to its l_band outer products; row i's applies
+  /// slot_w2c to its slot outer products (literal mode) and band_w3c[i]
+  /// to Theta_i Theta_i^T.  Single source of truth for the Q builds AND
+  /// solve()'s mask-group signature — the grouping invariant is only
+  /// sound while the signature encodes exactly the scalars the Q build
+  /// applies.
+  void c2_curvature(const Weights& w, std::vector<double>& slot_w2c,
+                    std::vector<double>& band_w3c) const;
   Weights effective_weights(const RsvdProblem& problem) const;
   double objective(const RsvdProblem& problem, const Weights& w,
                    const linalg::Matrix& l, const linalg::Matrix& r,

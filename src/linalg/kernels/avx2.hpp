@@ -6,7 +6,7 @@
 // contains no AVX2 code at all.
 //
 // Rounding contract relative to kernels::scalar (see kernels.hpp):
-//  * element-wise kernels (axpy, axpy2, add_outer_upper) evaluate each
+//  * element-wise kernels (axpy, axpy2, syrk_assemble_upper) evaluate each
 //    element with FMA — one rounding instead of the scalar mul+add two —
 //    and are position-independent: an element produces the same bits
 //    whether it lands in a vector lane or in the std::fma tail, so
@@ -86,19 +86,93 @@ inline void axpy2(double a, const double* x, double b, const double* y,
   for (; i < n; ++i) out[i] += std::fma(b, y[i], a * x[i]);
 }
 
-// Streams FULL rows instead of upper-triangle suffixes: for the rank-r
-// normal matrices of the sweep (r = 16) the uniform, tail-free row axpys
-// are ~25% faster than the half-flop triangular update despite doing
-// twice the arithmetic.  The strict lower triangle therefore accumulates
-// the mirrored contributions (va * v[b] for b < a) — callers re-mirror
-// from the upper triangle before consuming, as the kernels.hpp contract
-// requires.
-inline void add_outer_upper(double weight, const double* v, std::size_t n,
-                            double* q, std::size_t ld) {
-  for (std::size_t a = 0; a < n; ++a) {
-    const double va = weight * v[a];
-    if (va == 0.0) continue;
-    axpy(va, v, q + a * ld, n);
+namespace detail {
+
+/// acc[r] = fma(w_t * v_t[a0 + r], v_t[b0 .. b0 + 3], acc[r]) over the
+/// terms of `s`, ascending t: axpy()'s element arithmetic (one FMA) after
+/// the rounded w * v[a] product.
+template <std::size_t R>
+[[gnu::always_inline]] inline void syrk_accumulate(
+    const SyrkRows& s, std::size_t a0, std::size_t b0, __m256i cols,
+    __m256d (&acc)[R]) {
+  for (std::size_t t = 0; t < s.k; ++t) {
+    const double* row = s.row(t);
+    const double w = s.weight_of(t);
+    const __m256d vb = _mm256_maskload_pd(row + b0, cols);
+    for (std::size_t r = 0; r < R; ++r) {
+      acc[r] = _mm256_fmadd_pd(_mm256_set1_pd(w * row[a0 + r]), vb, acc[r]);
+    }
+  }
+}
+
+/// One R x nc (nc <= 4) tile of syrk_assemble_upper at (a0, b0): row r of
+/// the tile is one ymm accumulator, loaded once, fed the plan's terms in
+/// order and stored once.  Columns past nc are masked off on load (their
+/// lanes compute zeros that are never stored); a diagonal tile stores
+/// only its b >= a entries.
+template <std::size_t R>
+void syrk_tile(const SyrkPlan& p, std::size_t a0, std::size_t b0,
+               std::size_t nc, double* q, std::size_t ldq, std::size_t incq) {
+  const bool diag = a0 == b0;
+  const __m256i cols = _mm256_setr_epi64x(nc > 0 ? -1 : 0, nc > 1 ? -1 : 0,
+                                          nc > 2 ? -1 : 0, nc > 3 ? -1 : 0);
+  alignas(32) double tile[R][4];
+  __m256d acc[R];
+  if (p.seed != nullptr) {
+    for (std::size_t r = 0; r < R; ++r) {
+      acc[r] = _mm256_maskload_pd(p.seed + (a0 + r) * p.lds + b0, cols);
+    }
+  } else {
+    for (std::size_t r = 0; r < R; ++r) {
+      for (std::size_t c = 0; c < 4; ++c) {
+        tile[r][c] = c < nc && (!diag || c >= r)
+                         ? q[(a0 + r) * ldq + (b0 + c) * incq]
+                         : 0.0;
+      }
+      acc[r] = _mm256_load_pd(tile[r]);
+    }
+  }
+  syrk_accumulate(p.pre, a0, b0, cols, acc);
+  if (p.x != nullptr) {
+    const __m256d alpha = _mm256_set1_pd(p.alpha);
+    for (std::size_t r = 0; r < R; ++r) {
+      acc[r] = _mm256_fmadd_pd(
+          alpha, _mm256_maskload_pd(p.x + (a0 + r) * p.ldx + b0, cols),
+          acc[r]);
+    }
+  }
+  syrk_accumulate(p.post, a0, b0, cols, acc);
+  for (std::size_t r = 0; r < R; ++r) _mm256_store_pd(tile[r], acc[r]);
+  for (std::size_t r = 0; r < R; ++r) {
+    for (std::size_t c = diag ? r : 0; c < nc; ++c) {
+      q[(a0 + r) * ldq + (b0 + c) * incq] = tile[r][c];
+    }
+  }
+}
+
+template <std::size_t R>
+void syrk_row_block(const SyrkPlan& p, std::size_t n, std::size_t a0,
+                    double* q, std::size_t ldq, std::size_t incq) {
+  for (std::size_t b0 = a0; b0 < n; b0 += 4) {
+    syrk_tile<R>(p, a0, b0, n - b0 < 4 ? n - b0 : 4, q, ldq, incq);
+  }
+}
+
+}  // namespace detail
+
+/// syrk_assemble_upper (contract in kernels::scalar): 4x4 register tiles,
+/// one FMA per element and rank-1 term, the x term as axpy()'s FMA.
+inline void syrk_assemble_upper(const SyrkPlan& p, std::size_t n, double* q,
+                                std::size_t ldq, std::size_t incq) {
+  std::size_t a0 = 0;
+  for (; a0 + 4 <= n; a0 += 4) {
+    detail::syrk_row_block<4>(p, n, a0, q, ldq, incq);
+  }
+  switch (n - a0) {
+    case 1: detail::syrk_row_block<1>(p, n, a0, q, ldq, incq); break;
+    case 2: detail::syrk_row_block<2>(p, n, a0, q, ldq, incq); break;
+    case 3: detail::syrk_row_block<3>(p, n, a0, q, ldq, incq); break;
+    default: break;
   }
 }
 

@@ -4,11 +4,11 @@
 // Foundation enabled (-march=x86-64-v4 / native via the IUP_ARCH CMake
 // knob); the dispatch header includes this file conditionally, so builds
 // without AVX-512 contain none of this code.  Only zmm arithmetic from
-// AVX-512F is used (loadu/set1/fmadd/add/mul/store) — no VL/BW/DQ
-// dependence — so any avx512f CPU runs this level.
+// AVX-512F is used (loadu/maskz_loadu/set1/fmadd/add/mul/store) — no
+// VL/BW/DQ dependence — so any avx512f CPU runs this level.
 //
 // Rounding contract relative to kernels::scalar (see kernels.hpp):
-//  * element-wise kernels (axpy, axpy2, add_outer_upper) evaluate each
+//  * element-wise kernels (axpy, axpy2, syrk_assemble_upper) evaluate each
 //    element with one FMA, exactly like the AVX2 level, and are
 //    position-independent: an element produces the same bits in a zmm
 //    lane or in the std::fma tail, so splitting a row into segments
@@ -95,16 +95,96 @@ inline void axpy2(double a, const double* x, double b, const double* y,
   for (; i < n; ++i) out[i] += std::fma(b, y[i], a * x[i]);
 }
 
-// Streams FULL rows like the AVX2 level (uniform row axpys beat the
-// half-flop triangular update at the sweep's rank): the strict lower
-// triangle accumulates mirrored contributions and callers re-mirror from
-// the upper triangle before consuming, per the kernels.hpp contract.
-inline void add_outer_upper(double weight, const double* v, std::size_t n,
-                            double* q, std::size_t ld) {
-  for (std::size_t a = 0; a < n; ++a) {
-    const double va = weight * v[a];
-    if (va == 0.0) continue;
-    axpy(va, v, q + a * ld, n);
+namespace detail {
+
+/// acc[r] = fma(w_t * v_t[a0 + r], v_t[b0 .. b0 + 7], acc[r]) over the
+/// terms of `s`, ascending t: axpy()'s element arithmetic (one FMA) after
+/// the rounded w * v[a] product.
+template <std::size_t R>
+[[gnu::always_inline]] inline void syrk_accumulate(
+    const SyrkRows& s, std::size_t a0, std::size_t b0, __mmask8 cols,
+    __m512d (&acc)[R]) {
+  for (std::size_t t = 0; t < s.k; ++t) {
+    const double* row = s.row(t);
+    const double w = s.weight_of(t);
+    const __m512d vb = _mm512_maskz_loadu_pd(cols, row + b0);
+    for (std::size_t r = 0; r < R; ++r) {
+      acc[r] = _mm512_fmadd_pd(_mm512_set1_pd(w * row[a0 + r]), vb, acc[r]);
+    }
+  }
+}
+
+/// One R x nc (nc <= 8) tile of syrk_assemble_upper at (a0, b0): row r of
+/// the tile is one zmm accumulator, loaded once, fed the plan's terms in
+/// order and stored once.  Columns past nc are masked off; a diagonal
+/// tile stores only its b >= a entries.  At the sweep's ranks (<= 8) the
+/// whole triangle is one tile.
+template <std::size_t R>
+void syrk_tile(const SyrkPlan& p, std::size_t a0, std::size_t b0,
+               std::size_t nc, double* q, std::size_t ldq, std::size_t incq) {
+  const bool diag = a0 == b0;
+  const __mmask8 cols = static_cast<__mmask8>((1u << nc) - 1);
+  alignas(64) double tile[R][8];
+  __m512d acc[R];
+  if (p.seed != nullptr) {
+    for (std::size_t r = 0; r < R; ++r) {
+      acc[r] = _mm512_maskz_loadu_pd(cols, p.seed + (a0 + r) * p.lds + b0);
+    }
+  } else {
+    for (std::size_t r = 0; r < R; ++r) {
+      for (std::size_t c = 0; c < 8; ++c) {
+        tile[r][c] = c < nc && (!diag || c >= r)
+                         ? q[(a0 + r) * ldq + (b0 + c) * incq]
+                         : 0.0;
+      }
+      acc[r] = _mm512_load_pd(tile[r]);
+    }
+  }
+  syrk_accumulate(p.pre, a0, b0, cols, acc);
+  if (p.x != nullptr) {
+    const __m512d alpha = _mm512_set1_pd(p.alpha);
+    for (std::size_t r = 0; r < R; ++r) {
+      acc[r] = _mm512_fmadd_pd(
+          alpha, _mm512_maskz_loadu_pd(cols, p.x + (a0 + r) * p.ldx + b0),
+          acc[r]);
+    }
+  }
+  syrk_accumulate(p.post, a0, b0, cols, acc);
+  for (std::size_t r = 0; r < R; ++r) _mm512_store_pd(tile[r], acc[r]);
+  for (std::size_t r = 0; r < R; ++r) {
+    for (std::size_t c = diag ? r : 0; c < nc; ++c) {
+      q[(a0 + r) * ldq + (b0 + c) * incq] = tile[r][c];
+    }
+  }
+}
+
+template <std::size_t R>
+void syrk_row_block(const SyrkPlan& p, std::size_t n, std::size_t a0,
+                    double* q, std::size_t ldq, std::size_t incq) {
+  for (std::size_t b0 = a0; b0 < n; b0 += 8) {
+    syrk_tile<R>(p, a0, b0, n - b0 < 8 ? n - b0 : 8, q, ldq, incq);
+  }
+}
+
+}  // namespace detail
+
+/// syrk_assemble_upper (contract in kernels::scalar): 8x8 register tiles,
+/// one FMA per element and rank-1 term, the x term as axpy()'s FMA.
+inline void syrk_assemble_upper(const SyrkPlan& p, std::size_t n, double* q,
+                                std::size_t ldq, std::size_t incq) {
+  std::size_t a0 = 0;
+  for (; a0 + 8 <= n; a0 += 8) {
+    detail::syrk_row_block<8>(p, n, a0, q, ldq, incq);
+  }
+  switch (n - a0) {
+    case 1: detail::syrk_row_block<1>(p, n, a0, q, ldq, incq); break;
+    case 2: detail::syrk_row_block<2>(p, n, a0, q, ldq, incq); break;
+    case 3: detail::syrk_row_block<3>(p, n, a0, q, ldq, incq); break;
+    case 4: detail::syrk_row_block<4>(p, n, a0, q, ldq, incq); break;
+    case 5: detail::syrk_row_block<5>(p, n, a0, q, ldq, incq); break;
+    case 6: detail::syrk_row_block<6>(p, n, a0, q, ldq, incq); break;
+    case 7: detail::syrk_row_block<7>(p, n, a0, q, ldq, incq); break;
+    default: break;
   }
 }
 

@@ -7,8 +7,8 @@
 // benches at -march=native, CI exercises both a baseline and an
 // x86-64-v3 cell).
 //
-//   kernels::dot / axpy / axpy2 / add_outer_upper / norm_sq /
-//   diff_norm_sq / masked_diff_norm_sq /
+//   kernels::dot / axpy / axpy2 / syrk_upper / syrk_assemble_upper /
+//   norm_sq / diff_norm_sq / masked_diff_norm_sq /
 //   dot_panel / axpy_lanes / dot_lanes   — forward to the active level
 //   kernels::gemm_accumulate             — register-blocked packed GEMM
 //                                          (kernels/gemm.hpp)
@@ -45,10 +45,21 @@
 //    axpy() arithmetic, and out[l] of dot_lanes is bit-identical to this
 //    level's dot() on contiguous copies of lane l.  Independent problems
 //    therefore share one pass without any lane seeing its neighbours.
-//  * Zero-skips (add_outer_upper rows, the multiply_into pivot skip) are
-//    exact no-ops on finite data: a contribution 0.0 * v adds +/-0, and
-//    an accumulator seeded with +0 can never round to -0, so skipping
-//    cannot change any finite result.
+//  * syrk_upper / syrk_assemble_upper (the normal-matrix kernels behind
+//    gram_into and every Q build of the solver sweep) are held to the
+//    same kind of promise: at every level, each diagonal / upper entry is
+//    bit-identical to k consecutive rank-1 updates q(a, b) +=
+//    (w_t * v_t[a]) * v_t[b] evaluated one by one with that level's axpy()
+//    element arithmetic (mul+add at kScalar, FMA at the SIMD levels) — the
+//    historical per-row loop — while register tiles of the triangle stay
+//    live across all k terms.
+//  * Zero-skips (the historical rank-1 update's rows, the multiply_into
+//    pivot skip) are exact no-ops on finite data: a contribution 0.0 * v
+//    adds +/-0, and an accumulator seeded with +0 can never round to -0,
+//    so skipping cannot change any finite result.  The same argument lets
+//    the syrk kernels drop the per-row skip: their accumulators are
+//    seeded with +0 or with earlier sums of the same kind (the sweep's
+//    lambda*I + F^T F), never with -0.
 #pragma once
 
 #include <cstddef>
@@ -115,9 +126,22 @@ inline void axpy2(double a, const double* x, double b, const double* y,
   active::axpy2(a, x, b, y, out, n);
 }
 
-inline void add_outer_upper(double weight, const double* v, std::size_t n,
-                            double* q, std::size_t ld) {
-  active::add_outer_upper(weight, v, n, q, ld);
+/// A whole normal matrix in one register-tiled pass (see SyrkPlan): per
+/// diagonal / upper entry the seed, the `pre` rank-1 terms, alpha * x and
+/// the `post` rank-1 terms, in that order — bit-identical to a seed copy
+/// followed by one-by-one rank-1 updates and an axpy at this level.  Entry
+/// (a, b) lives at q[a * ldq + b * incq] (incq = kLanes writes one lane of
+/// an interleaved batch); entries below the diagonal are never touched.
+inline void syrk_assemble_upper(const SyrkPlan& p, std::size_t n, double* q,
+                                std::size_t ldq, std::size_t incq) {
+  active::syrk_assemble_upper(p, n, q, ldq, incq);
+}
+
+/// q(a, b) += sum_t (w_t * v_t[a]) * v_t[b] for b >= a over the terms of
+/// `s`: the rank-k special case of syrk_assemble_upper (no seed, no x).
+inline void syrk_upper(const SyrkRows& s, std::size_t n, double* q,
+                       std::size_t ldq, std::size_t incq) {
+  syrk_assemble_upper({.pre = s}, n, q, ldq, incq);
 }
 
 inline double norm_sq(const double* x, std::size_t n) {

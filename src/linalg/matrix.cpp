@@ -112,14 +112,6 @@ void Matrix::copy_col_into(std::size_t j, std::span<double> out) const {
   for (std::size_t i = 0; i < rows_; ++i) out[i] = (*this)(i, j);
 }
 
-void Matrix::copy_row_into(std::size_t i, std::span<double> out) const {
-  if (out.size() != cols_) {
-    throw std::invalid_argument("copy_row_into: length mismatch");
-  }
-  auto s = row_span(i);
-  std::copy(s.begin(), s.end(), out.begin());
-}
-
 void Matrix::set_row(std::size_t i, std::span<const double> values) {
   if (values.size() != cols_) {
     throw std::invalid_argument("set_row: length mismatch");
@@ -386,21 +378,13 @@ void gram_into(const Matrix& a, Matrix& out) {
   check_not_aliased(out, a, a, "gram_into");
   const std::size_t n = a.cols();
   out.resize(n, n, 0.0);
-  for (std::size_t i = 0; i < a.rows(); ++i) {
-    const auto r = a.row_span(i);
-    // One rank-1 update of the upper triangle per row of a (suffix axpys).
-    kernels::add_outer_upper(1.0, r.data(), n, out.data().data(), n);
-  }
+  // Every row of a is one term of a rank-rows() update of the upper
+  // triangle (bit-identical to one rank-1 update per row).
+  kernels::syrk_upper({.v = a.data().data(), .ldv = n, .k = a.rows()}, n,
+                      out.data().data(), n, 1);
   for (std::size_t p = 0; p < n; ++p) {
     for (std::size_t q = 0; q < p; ++q) out(p, q) = out(q, p);
   }
-}
-
-void add_scaled(Matrix& y, double alpha, const Matrix& x) {
-  if (y.rows() != x.rows() || y.cols() != x.cols()) {
-    throw std::invalid_argument("add_scaled: shape mismatch");
-  }
-  kernels::axpy(alpha, x.data().data(), y.data().data(), y.size());
 }
 
 }  // namespace iup::linalg

@@ -106,9 +106,6 @@ class Matrix {
   /// allocation-free counterpart of col().
   void copy_col_into(std::size_t j, std::span<double> out) const;
 
-  /// Copy row i into a caller-owned buffer of length cols().
-  void copy_row_into(std::size_t i, std::span<double> out) const;
-
   void set_row(std::size_t i, std::span<const double> values);
   void set_col(std::size_t j, std::span<const double> values);
 
@@ -205,8 +202,5 @@ void transpose_into(const Matrix& a, Matrix& out);
 
 /// out = a^T * a (the Gram matrix of a's columns).
 void gram_into(const Matrix& a, Matrix& out);
-
-/// y += alpha * x (same shape), without the temporary of y += alpha * x.
-void add_scaled(Matrix& y, double alpha, const Matrix& x);
 
 }  // namespace iup::linalg

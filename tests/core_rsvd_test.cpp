@@ -230,8 +230,8 @@ TEST(SelfAugmented, MaxItersZeroReturnsInitialFactors) {
 // SPD path) fails here even when it stays internally consistent.  The
 // problem is built from integer LCG draws scaled by powers of two — every
 // conversion is exact, so nothing but the solver's own sqrt touches libm.
-// Pinned at the scalar kernel level only: the SIMD levels legitimately
-// round differently.
+// Pinned once per kernel level: the SIMD levels legitimately round
+// differently from scalar, but each level's bits are just as fixed.
 struct GoldenLcg {
   std::uint64_t state;
   std::int64_t next(std::int64_t modulus) {
@@ -293,9 +293,21 @@ std::uint64_t result_hash(const RsvdResult& r) {
 }
 
 TEST(SelfAugmented, DefaultBitsMatchPinnedHashes) {
-  if (linalg::kernels::active_level() != linalg::kernels::Level::kScalar) {
-    GTEST_SKIP() << "hashes are pinned at the scalar kernel level";
-  }
+  struct Pinned {
+    std::uint64_t full;
+    std::uint64_t rows;
+  };
+  const Pinned pinned = [] {
+    switch (linalg::kernels::active_level()) {
+      case linalg::kernels::Level::kAvx2:
+        return Pinned{0x92181f9000b6ae0cull, 0x5e9c0ffe8bbf1219ull};
+      case linalg::kernels::Level::kAvx512:
+        return Pinned{0x31e49e6ec6749613ull, 0xbe427e9691223b77ull};
+      case linalg::kernels::Level::kScalar:
+        break;
+    }
+    return Pinned{0xa19143af2b6b9a9eull, 0x436394d430593647ull};
+  }();
   const BandLayout layout{8, 12};
   const RsvdProblem problem = golden_office_problem(layout);
   RsvdOptions c1c2;  // the defaults: C1 + Gauss-Seidel C2, grouped, 60 sweeps
@@ -305,8 +317,10 @@ TEST(SelfAugmented, DefaultBitsMatchPinnedHashes) {
   const RsvdResult rows = SelfAugmentedRsvd(layout, c1_only).solve(problem);
   ASSERT_EQ(full.iterations, 60u);
   ASSERT_GT(full.mask_groups, 0u);
-  EXPECT_EQ(result_hash(full), 0xa19143af2b6b9a9eull);
-  EXPECT_EQ(result_hash(rows), 0x436394d430593647ull);
+  EXPECT_EQ(result_hash(full), pinned.full)
+      << "level " << linalg::kernels::active_level_name();
+  EXPECT_EQ(result_hash(rows), pinned.rows)
+      << "level " << linalg::kernels::active_level_name();
 }
 
 // The pipeline-level fixture: reconstruct the office at day 45 with

@@ -11,8 +11,11 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <bit>
 #include <cmath>
 #include <cstddef>
+#include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "linalg/kernels/gemm.hpp"
@@ -168,17 +171,29 @@ TEST(KernelNorms, ReductionsMatchScalarAndShareTreeShape) {
   }
 }
 
-TEST(KernelAddOuter, UpperTriangleMatchesScalar) {
+// The contract's reference for the syrk kernels: the historical rank-1
+// update of the upper triangle, one row at a time through the active
+// level's axpy (rows whose pivot w * v[a] is exactly zero skipped).
+void rank1_upper(double w, const double* v, std::size_t n, double* q,
+                 std::size_t ld) {
+  for (std::size_t a = 0; a < n; ++a) {
+    const double va = w * v[a];
+    if (va == 0.0) continue;
+    axpy(va, v + a, q + a * ld + a, n - a);
+  }
+}
+
+TEST(KernelSyrk, UpperTriangleMatchesScalar) {
   rng::Rng rng(107);
   for (const std::size_t n : {1ul, 2ul, 3ul, 5ul, 8ul, 11ul, 16ul}) {
-    const auto v = random_vec(n, rng);
+    const auto v = random_vec(3 * n, rng);
     const auto seed = random_vec(n * n, rng);
     auto got = seed;
     auto ref = seed;
-    add_outer_upper(0.83, v.data(), n, got.data(), n);
-    scalar::add_outer_upper(0.83, v.data(), n, ref.data(), n);
-    // Contract: only the diagonal and upper triangle are specified; the
-    // AVX2 level also touches the lower triangle (full-row streaming).
+    const SyrkRows rows{.v = v.data(), .ldv = n, .k = 3, .weight = 0.83};
+    syrk_upper(rows, n, got.data(), n, 1);
+    scalar::syrk_assemble_upper({.pre = rows}, n, ref.data(), n, 1);
+    // Across levels one FMA rounding per term separates the results.
     for (std::size_t a = 0; a < n; ++a) {
       for (std::size_t b = a; b < n; ++b) {
         EXPECT_NEAR(got[a * n + b], ref[a * n + b],
@@ -186,6 +201,155 @@ TEST(KernelAddOuter, UpperTriangleMatchesScalar) {
             << n << " @" << a << "," << b;
       }
     }
+  }
+}
+
+// syrk_upper against its contract: every diagonal / upper entry equals k
+// consecutive rank1_upper calls at the active level, bit for bit.
+// Shapes cover every tile edge at every level (n = 1..12 includes the
+// library's rank 6 and the 4- and 8-wide tile boundaries), k = 0..40,
+// the weight forms (none, one shared weight, a per-term list with +/-1
+// and general values), exact zeros in the rows, strided and gathered
+// rows, and a lane-interleaved destination.
+TEST(KernelSyrk, BitIdenticalToConsecutiveRank1Updates) {
+  rng::Rng rng(114);
+  const auto bits = [](double x) { return std::bit_cast<std::uint64_t>(x); };
+  for (std::size_t n = 1; n <= 12; ++n) {
+    for (std::size_t k = 0; k <= 40; ++k) {
+      const std::size_t ldv = n + 3;  // strided panel with row padding
+      const std::size_t rows = k + 5;
+      auto v = random_vec(rows * ldv, rng);
+      // Exact zeros: whole pivots and scattered entries.
+      for (std::size_t i = 0; i < v.size(); i += 7) v[i] = 0.0;
+      std::vector<std::size_t> index(k);
+      for (std::size_t t = 0; t < k; ++t) index[t] = rng.uniform_index(rows);
+      std::vector<double> weights(k);
+      for (std::size_t t = 0; t < k; ++t) {
+        weights[t] = t % 3 == 0 ? 1.0 : t % 3 == 1 ? -1.0 : rng.normal();
+      }
+      const int form = static_cast<int>((n + k) % 4);
+      SyrkRows s{.v = v.data(), .ldv = ldv, .k = k};
+      if (form == 1) s.weight = -1.0;
+      if (form == 2) s.weights = weights.data();
+      if (form == 3) s.index = index.data();
+      if (form == 3 && k % 2 == 1) s.weights = weights.data();
+
+      const auto seed = random_vec(n * n, rng);
+      auto ref = seed;
+      for (std::size_t t = 0; t < k; ++t) {
+        rank1_upper(s.weight_of(t), s.row(t), n, ref.data(), n);
+      }
+      auto got = seed;
+      syrk_upper(s, n, got.data(), n, 1);
+      // The same update into lane 2 of a kLanes-interleaved batch.
+      std::vector<double> lanes(n * n * kLanes, 7.0);
+      for (std::size_t e = 0; e < n * n; ++e) lanes[e * kLanes + 2] = seed[e];
+      syrk_upper(s, n, lanes.data() + 2, n * kLanes, kLanes);
+      for (std::size_t a = 0; a < n; ++a) {
+        for (std::size_t b = 0; b < n; ++b) {
+          const std::size_t e = a * n + b;
+          if (b >= a) {
+            ASSERT_EQ(bits(got[e]), bits(ref[e]))
+                << "n=" << n << " k=" << k << " form=" << form << " @" << a
+                << "," << b;
+            ASSERT_EQ(bits(lanes[e * kLanes + 2]), bits(ref[e]));
+          } else {
+            ASSERT_EQ(bits(got[e]), bits(seed[e]))
+                << "lower entry touched: n=" << n << " @" << a << "," << b;
+            ASSERT_EQ(lanes[e * kLanes + 2], seed[e]);
+          }
+          for (std::size_t l = 0; l < kLanes; ++l) {
+            if (l != 2) ASSERT_EQ(lanes[e * kLanes + l], 7.0);
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(KernelSyrk, AssemblyPlanMatchesSeedCopyTermsAndAxpy) {
+  // syrk_assemble_upper runs a whole normal-matrix build in one pass; per
+  // upper entry it must equal the unfused sequence at the active level:
+  // copy the seed, the `pre` rank1_upper calls, one axpy of alpha * x, the
+  // `post` rank1_upper calls.  Every optional part is toggled, into a
+  // plain and a lane-interleaved destination.
+  rng::Rng rng(116);
+  const auto bits = [](double x) { return std::bit_cast<std::uint64_t>(x); };
+  for (std::size_t n = 1; n <= 12; ++n) {
+    for (std::size_t variant = 0; variant < 16; ++variant) {
+      const bool with_seed = (variant & 1) != 0;
+      const bool with_x = (variant & 2) != 0;
+      const std::size_t k_pre = (variant & 4) != 0 ? n + 3 : 0;
+      const std::size_t k_post = (variant & 8) != 0 ? 2 : 0;
+      const auto v = random_vec((k_pre + 4) * n, rng);
+      const auto band = random_vec(n, rng);
+      const auto seed = random_vec(n * n, rng);
+      const auto x = random_vec(n * n, rng);
+      const auto start = random_vec(n * n, rng);
+      std::vector<std::size_t> index(k_pre);
+      for (std::size_t t = 0; t < k_pre; ++t) {
+        index[t] = (3 * t + 1) % (k_pre + 4);
+      }
+      const double post_w[2] = {0.61, -2.5};
+      const SyrkPlan plan{
+          .seed = with_seed ? seed.data() : nullptr,
+          .lds = n,
+          .pre = {.v = v.data(), .ldv = n, .k = k_pre, .index = index.data(),
+                  .weight = -1.0},
+          .x = with_x ? x.data() : nullptr,
+          .ldx = n,
+          .alpha = 0.37,
+          .post = {.v = band.data(), .ldv = 0, .k = k_post,
+                   .weights = post_w}};
+
+      auto ref = with_seed ? seed : start;
+      for (std::size_t t = 0; t < k_pre; ++t) {
+        rank1_upper(-1.0, v.data() + index[t] * n, n, ref.data(), n);
+      }
+      if (with_x) axpy(0.37, x.data(), ref.data(), n * n);
+      for (std::size_t t = 0; t < k_post; ++t) {
+        rank1_upper(post_w[t], band.data(), n, ref.data(), n);
+      }
+      auto got = start;
+      syrk_assemble_upper(plan, n, got.data(), n, 1);
+      std::vector<double> lanes(n * n * kLanes, 7.0);
+      for (std::size_t e = 0; e < n * n; ++e) lanes[e * kLanes + 1] = start[e];
+      syrk_assemble_upper(plan, n, lanes.data() + 1, n * kLanes, kLanes);
+      for (std::size_t a = 0; a < n; ++a) {
+        for (std::size_t b = a; b < n; ++b) {
+          const std::size_t e = a * n + b;
+          ASSERT_EQ(bits(got[e]), bits(ref[e]))
+              << "n=" << n << " variant=" << variant << " @" << a << "," << b;
+          ASSERT_EQ(bits(lanes[e * kLanes + 1]), bits(ref[e]));
+        }
+        for (std::size_t b = 0; b < a; ++b) {
+          ASSERT_EQ(got[a * n + b], start[a * n + b]) << "lower touched";
+        }
+      }
+    }
+  }
+}
+
+TEST(KernelSyrk, GramIntoMatchesThePerRowLoop) {
+  // gram_into routes through syrk_upper; it must equal the historical
+  // loop — one rank-1 update per row, then the mirror — bit for bit.
+  rng::Rng rng(115);
+  for (const auto& [rows, cols] : std::vector<std::pair<std::size_t,
+                                                        std::size_t>>{
+           {0, 3}, {1, 1}, {12, 8}, {96, 8}, {21, 6}, {9, 13}, {40, 16}}) {
+    Matrix a = test::random_matrix(rows, cols, rng);
+    for (std::size_t i = 0; i < rows; i += 3) a(i, cols / 2) = 0.0;
+    Matrix ref(cols, cols, 0.0);
+    for (std::size_t i = 0; i < rows; ++i) {
+      rank1_upper(1.0, a.row_span(i).data(), cols, ref.data().data(), cols);
+    }
+    for (std::size_t p = 0; p < cols; ++p) {
+      for (std::size_t q = 0; q < p; ++q) ref(p, q) = ref(q, p);
+    }
+    Matrix got;
+    gram_into(a, got);
+    EXPECT_EQ(got, ref) << rows << "x" << cols;
+    EXPECT_EQ(a.gram(), ref) << rows << "x" << cols;
   }
 }
 

@@ -7,6 +7,7 @@
 // kernel dispatch level (scalar, AVX2, AVX-512).
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstddef>
 #include <vector>
 
@@ -507,6 +508,55 @@ TEST(MaskGroupedSweep, FailingLaneInTheSweepMatchesUngroupedBitsAndStats) {
   EXPECT_EQ(grouped.r, plain.r);
   EXPECT_EQ(grouped.x_hat, plain.x_hat);
   EXPECT_EQ(grouped.objective_history, plain.objective_history);
+}
+
+TEST(MaskGroupedSweep, FailingLUpdateLaneMatchesPerRowSolveBitsAndStats) {
+  // Constraint 2 on: every L row is its own group and rows solve kLanes at
+  // a time.  lambda = 0 and a fully unobserved link (row 2, lane 2 of the
+  // first batch) leave that row's Q = R^T R minus every outer product
+  // (roundoff) plus the Constraint-2 curvature of its two band cells —
+  // rank 2 of 4 — so its lane fails mid-batch in most sweeps (and no
+  // other system fails).  The failed lane must
+  // re-run the per-row ladder: bits AND SpdStats equal the unbatched
+  // sweep, which solves every row through solve_spd_into.
+  rng::Rng rng(314);
+  const core::BandLayout layout{6, 2};
+  const std::size_t m = layout.links;
+  const std::size_t n = layout.num_cells();
+  const linalg::Matrix x_full = test::random_low_rank(m, n, 4, rng);
+  core::RsvdProblem problem;
+  problem.b = linalg::Matrix(m, n, 1.0);
+  for (std::size_t j = 0; j < n; ++j) {
+    problem.b(layout.band_of(j), j) = 0.0;
+    problem.b(2, j) = 0.0;
+  }
+  problem.x_b = problem.b.hadamard(x_full);
+  problem.l0 = test::random_matrix(m, 4, rng);
+
+  core::RsvdOptions options;
+  options.lambda = 0.0;
+  options.rank = 4;
+  options.max_iters = 6;
+  options.use_constraint1 = false;
+  const auto run = [&](bool batched, linalg::SpdStats& stats) {
+    options.group_masks = batched;
+    linalg::reset_spd_stats();
+    auto result = core::SelfAugmentedRsvd(layout, options).solve(problem);
+    stats = linalg::spd_stats();
+    return result;
+  };
+  linalg::SpdStats plain_stats, batched_stats;
+  const core::RsvdResult plain = run(false, plain_stats);
+  const core::RsvdResult batched = run(true, batched_stats);
+  EXPECT_GE(plain_stats.cholesky_failures, 1u);
+  EXPECT_EQ(batched_stats.cholesky_failures, plain_stats.cholesky_failures);
+  EXPECT_EQ(batched_stats.bump_recoveries, plain_stats.bump_recoveries);
+  EXPECT_EQ(batched_stats.lu_fallbacks, plain_stats.lu_fallbacks);
+  for (const double v : plain.l.data()) ASSERT_TRUE(std::isfinite(v));
+  EXPECT_EQ(batched.l, plain.l);
+  EXPECT_EQ(batched.r, plain.r);
+  EXPECT_EQ(batched.x_hat, plain.x_hat);
+  EXPECT_EQ(batched.objective_history, plain.objective_history);
 }
 
 TEST(MaskGroupedSweep, OfficeTestbedReconstructionIsGroupedAndIdentical) {
