@@ -4,13 +4,12 @@
 # the fresh run becomes "after", so every committed file carries a
 # before/after pair.
 #
-# Every row is recorded REPS times (default 5) in one process, so
+# Every row is recorded 5 times in one process, so
 # bench_check.py can gate on per-row medians instead of single runs.
 #
 # Usage:
 #   scripts/bench.sh            full run (MIN_TIME=0.1s per benchmark)
 #   MIN_TIME=0.01 scripts/bench.sh   CI smoke run
-#   REPS=9 scripts/bench.sh     more repetitions per row (minimum 5)
 #   FILTER='BM_Algorithm1Sweep' scripts/bench.sh   subset
 #   IUP_ARCH=x86-64-v3 scripts/bench.sh   pin the SIMD dispatch level
 #
@@ -27,11 +26,6 @@ MIN_TIME=${MIN_TIME:-0.1}
 FILTER=${FILTER:-.}
 OUT=${OUT:-BENCH_micro.json}
 IUP_ARCH=${IUP_ARCH:-native}
-REPS=${REPS:-5}
-if [ "$REPS" -lt 5 ]; then
-  echo "REPS=$REPS: a per-row median needs at least 5 repetitions" >&2
-  exit 1
-fi
 
 CMAKE_ARGS=(-DCMAKE_BUILD_TYPE=Release -DIUP_API_WERROR=ON
             -DIUP_ARCH="$IUP_ARCH")
@@ -58,7 +52,7 @@ for BIN in "${BINS[@]}"; do
   # Older google-benchmark wants a plain double for --benchmark_min_time;
   # newer releases accept it too (with a deprecation warning).
   "$BIN" --benchmark_min_time="$MIN_TIME" --benchmark_filter="$FILTER" \
-         --benchmark_repetitions="$REPS" --benchmark_format=json > "$TMP"
+         --benchmark_repetitions=5 --benchmark_format=json > "$TMP"
 done
 
 python3 - "${TMPS[@]}" "$OUT" <<'EOF'
@@ -89,10 +83,10 @@ with open(out_path, "w") as f:
 
 reps = {}
 for b in entry["benchmarks"]:
-    reps.setdefault(b.get("run_name", b["name"]), []).append(b["real_time"])
-for name, times in reps.items():
-    print(f"{name:40s} {statistics.median(times) / 1e6:10.3f} ms "
-          f"(median of {len(times)}, {min(times) / 1e6:.3f}-"
-          f"{max(times) / 1e6:.3f})")
+    key = (b.get("run_name", b["name"]), b.get("time_unit", "ns"))
+    reps.setdefault(key, []).append(b["real_time"])
+for (name, unit), times in reps.items():
+    print(f"{name:40s} {statistics.median(times):12.1f} {unit} "
+          f"(median of {len(times)}, {min(times):.1f}-{max(times):.1f})")
 print(f"wrote {out_path}")
 EOF
