@@ -2,9 +2,10 @@
 // Constraint 2 (continuity + similarity) to the basic RSVD reduces the
 // reconstruction error step by step.
 //
-// Extension ablations beyond the paper (DESIGN.md Sec. 7): the published
-// per-column curvature ("literal") vs. our Gauss-Seidel repair, and the
-// G-matrix midpoint redefinition on/off.
+// Extension ablations beyond the paper (see the Constraint2Mode and
+// auto_scale docs in core/rsvd.hpp): the published per-column curvature
+// ("literal") vs. our Gauss-Seidel repair, and the G-matrix midpoint
+// redefinition on/off.
 #include "bench_common.hpp"
 
 #include "core/constraints.hpp"

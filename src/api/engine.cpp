@@ -3,7 +3,7 @@
 #include <chrono>
 #include <cmath>
 #include <exception>
-#include <stdexcept>
+#include <memory>
 #include <utility>
 
 #include "baselines/rass.hpp"
@@ -70,11 +70,7 @@ Engine::Engine(EngineConfig config)
   if (backend_ == nullptr) {
     core::RsvdOptions options = config_.rsvd();
     options.threads = config_.threads();
-    backend_ = make_backend(config_.solver_name(), options);
-  }
-  if (backend_ == nullptr) {
-    throw std::invalid_argument("Engine: unknown solver backend '" +
-                                config_.solver_name() + "'");
+    backend_ = std::make_shared<SelfAugmentedBackend>(options);
   }
   warm_start_enabled_ = config_.warm_start() && backend_->uses_warm_start();
   lrr_warm_enabled_ = config_.lrr_warm_start();

@@ -132,9 +132,6 @@ std::unique_ptr<loc::Localizer> make_localizer(
 
 class Engine {
  public:
-  /// Throws std::invalid_argument when the config names an unknown solver
-  /// backend (a programming error, unlike the data errors below which are
-  /// reported through Status).
   explicit Engine(EngineConfig config = {});
 
   // --- site lifecycle --------------------------------------------------

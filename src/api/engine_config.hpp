@@ -1,7 +1,9 @@
 // Fluent configuration for iup::api::Engine.
 //
+//   core::RsvdOptions nlc_only;  // Constraint 1 + location continuity
+//   nlc_only.w_similarity = 0.0;
 //   auto engine = api::Engine(api::EngineConfig()
-//                                 .solver("nlc-only")
+//                                 .rsvd(nlc_only)
 //                                 .localizer(api::LocalizerKind::kKnn)
 //                                 .history_limit(8));
 //
@@ -16,7 +18,6 @@
 #include <cstddef>
 #include <functional>
 #include <memory>
-#include <string>
 #include <utility>
 
 #include "api/snapshot.hpp"
@@ -116,14 +117,11 @@ class EngineConfig {
     lrr_warm_start_ = value;
     return *this;
   }
-  /// Pick a solver by registry name (see make_backend()); resolved against
-  /// the rsvd() options when the engine is constructed.
-  EngineConfig& solver(std::string name) {
-    solver_name_ = std::move(name);
-    solver_backend_.reset();
-    return *this;
-  }
-  /// Inject a concrete backend instance (wins over solver(name)).
+  /// Inject a concrete backend instance instead of the default
+  /// SelfAugmentedBackend built from rsvd().  The engine uses it as is:
+  /// threads() is NOT applied to an injected backend, so a decorator that
+  /// wraps SelfAugmentedBackend copies the thread count into its options
+  /// itself.
   EngineConfig& solver(std::shared_ptr<const SolverBackend> backend) {
     solver_backend_ = std::move(backend);
     return *this;
@@ -160,7 +158,6 @@ class EngineConfig {
   const core::RsvdOptions& rsvd() const { return rsvd_; }
   bool warm_start() const { return warm_start_; }
   bool lrr_warm_start() const { return lrr_warm_start_; }
-  const std::string& solver_name() const { return solver_name_; }
   const std::shared_ptr<const SolverBackend>& solver_backend() const {
     return solver_backend_;
   }
@@ -173,7 +170,6 @@ class EngineConfig {
   core::RsvdOptions rsvd_;
   bool warm_start_ = true;
   bool lrr_warm_start_ = true;
-  std::string solver_name_ = "self-augmented";
   std::shared_ptr<const SolverBackend> solver_backend_;
   LocalizerKind localizer_ = LocalizerKind::kOmp;
   std::size_t history_limit_ = 0;

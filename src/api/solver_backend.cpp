@@ -10,46 +10,4 @@ core::RsvdResult SelfAugmentedBackend::solve(
   return solver.solve(problem);
 }
 
-core::RsvdResult BasicRsvdBackend::solve(const core::RsvdProblem& problem,
-                                         const core::BandLayout&) const {
-  return core::basic_rsvd(problem.x_b, problem.b, options_);
-}
-
-std::vector<std::string> backend_names() {
-  return {"self-augmented", "basic-rsvd", "correlation-only", "nlc-only",
-          "als-only"};
-}
-
-std::shared_ptr<const SolverBackend> make_backend(
-    std::string_view name, const core::RsvdOptions& base) {
-  core::RsvdOptions options = base;
-  if (name == "self-augmented") {
-    return std::make_shared<SelfAugmentedBackend>(options);
-  }
-  if (name == "basic-rsvd") {
-    options.use_constraint1 = false;
-    options.use_constraint2 = false;
-    return std::make_shared<BasicRsvdBackend>(options);
-  }
-  if (name == "correlation-only") {
-    options.use_constraint1 = true;
-    options.use_constraint2 = false;
-    return std::make_shared<SelfAugmentedBackend>(options,
-                                                  "correlation-only");
-  }
-  if (name == "nlc-only") {
-    options.use_constraint1 = true;
-    options.use_constraint2 = true;
-    options.w_similarity = 0.0;
-    return std::make_shared<SelfAugmentedBackend>(options, "nlc-only");
-  }
-  if (name == "als-only") {
-    options.use_constraint1 = true;
-    options.use_constraint2 = true;
-    options.w_continuity = 0.0;
-    return std::make_shared<SelfAugmentedBackend>(options, "als-only");
-  }
-  return nullptr;
-}
-
 }  // namespace iup::api

@@ -1,17 +1,16 @@
-// Pluggable reconstruction solvers.
+// The solver seam of the update path.
 //
-// The seed hardwired SelfAugmentedRsvd into the update path; the engine
-// instead solves through this interface, so ablation variants
-// (basic RSVD, correlation-only, NLC-only, ALS-only) and future backends
-// (other completion solvers, accelerator offload) are a runtime choice.
-// Backends are stateless function objects over a fully-specified
-// RsvdProblem; one instance may serve any number of sites concurrently.
+// The engine solves through this interface instead of calling
+// SelfAugmentedRsvd directly, so a caller can wrap the paper's solver
+// (perfbench times it through a decorator) or substitute another
+// completion solver via EngineConfig::solver.  The paper's ablations
+// (basic RSVD, correlation only, NLC only, ALS only) are RsvdOptions
+// settings of SelfAugmentedBackend, not separate backends.  Backends are
+// stateless function objects over a fully-specified RsvdProblem; one
+// instance may serve any number of sites concurrently.
 #pragma once
 
-#include <memory>
 #include <string>
-#include <string_view>
-#include <vector>
 
 #include "core/fingerprint.hpp"
 #include "core/rsvd.hpp"
@@ -22,7 +21,7 @@ class SolverBackend {
  public:
   virtual ~SolverBackend() = default;
 
-  /// Registry name ("self-augmented", "basic-rsvd", ...).
+  /// Display name, used in the engine's solver-failure statuses.
   virtual std::string name() const = 0;
 
   /// True when the backend consumes the Constraint-1 prediction
@@ -41,14 +40,13 @@ class SolverBackend {
 };
 
 /// The paper's self-augmented RSVD (Eq. 18 / Algorithm 1) with explicit
-/// options; also backs the ablation presets in make_backend().
+/// options; the engine's default backend.
 class SelfAugmentedBackend final : public SolverBackend {
  public:
-  explicit SelfAugmentedBackend(core::RsvdOptions options = {},
-                                std::string name = "self-augmented")
-      : options_(options), name_(std::move(name)) {}
+  explicit SelfAugmentedBackend(core::RsvdOptions options = {})
+      : options_(options) {}
 
-  std::string name() const override { return name_; }
+  std::string name() const override { return "self-augmented"; }
   bool uses_correlation() const override { return options_.use_constraint1; }
   bool uses_warm_start() const override {
     return options_.init == core::FactorInit::kWarmStart;
@@ -56,39 +54,8 @@ class SelfAugmentedBackend final : public SolverBackend {
   core::RsvdResult solve(const core::RsvdProblem& problem,
                          const core::BandLayout& layout) const override;
 
-  const core::RsvdOptions& options() const { return options_; }
-
- private:
-  core::RsvdOptions options_;
-  std::string name_;
-};
-
-/// Plain regularized-SVD completion (Eq. 11): no constraints at all.
-class BasicRsvdBackend final : public SolverBackend {
- public:
-  explicit BasicRsvdBackend(core::RsvdOptions options = {})
-      : options_(options) {}
-
-  std::string name() const override { return "basic-rsvd"; }
-  bool uses_correlation() const override { return false; }
-  core::RsvdResult solve(const core::RsvdProblem& problem,
-                         const core::BandLayout& layout) const override;
-
  private:
   core::RsvdOptions options_;
 };
-
-/// Names make_backend() understands, in registry order.
-std::vector<std::string> backend_names();
-
-/// Build a backend by registry name, deriving its options from `base`:
-///   "self-augmented"   both constraints as configured in `base`
-///   "basic-rsvd"       Eq. 11 completion, no constraints
-///   "correlation-only" Constraint 1 only
-///   "nlc-only"         Constraint 1 + location continuity (ALS weight 0)
-///   "als-only"         Constraint 1 + adjacent-link similarity (NLC 0)
-/// Returns nullptr for unknown names.
-std::shared_ptr<const SolverBackend> make_backend(
-    std::string_view name, const core::RsvdOptions& base = {});
 
 }  // namespace iup::api

@@ -19,8 +19,7 @@
 #include "parallel/thread_pool.hpp"
 #include "rng/rng.hpp"
 
-// Two index repairs relative to the published Algorithm 1 (documented in
-// DESIGN.md Sec. 5):
+// Two index repairs relative to the published Algorithm 1:
 //
 //  (1) The similarity curvature term indexes H by the *link* (band) index
 //      ii, not by the within-link slot jj: H is M x M, and jj ranges over

@@ -81,10 +81,6 @@ class SelfAugmentedRsvd {
   /// `layout` describes the band structure used by Constraint 2.
   SelfAugmentedRsvd(BandLayout layout, RsvdOptions options);
 
-  const RsvdOptions& options() const { return options_; }
-  const linalg::Matrix& continuity() const { return g_; }
-  const linalg::Matrix& similarity() const { return h_; }
-
   /// Run Algorithm 1 on a fully-specified problem.
   RsvdResult solve(const RsvdProblem& problem) const;
 

@@ -72,10 +72,6 @@ void FaultInjector::set_solve_delay(std::chrono::nanoseconds delay) {
   solve_delay_ns_.store(delay.count(), std::memory_order_relaxed);
 }
 
-void FaultInjector::set_publish_delay(std::chrono::nanoseconds delay) {
-  publish_delay_ns_.store(delay.count(), std::memory_order_relaxed);
-}
-
 void FaultInjector::set_deadline(std::chrono::nanoseconds deadline) {
   deadline_ns_.store(deadline.count(), std::memory_order_relaxed);
 }
@@ -104,14 +100,6 @@ api::UpdateHooks FaultInjector::engine_hooks() {
   };
   hooks.before_publish =
       [this](std::chrono::nanoseconds elapsed) -> api::Status {
-    if (fire(FaultKind::kDelayPublish)) {
-      const auto delay = std::chrono::nanoseconds(
-          publish_delay_ns_.load(std::memory_order_relaxed));
-      if (delay.count() > 0) {
-        std::this_thread::sleep_for(delay);
-        elapsed += delay;
-      }
-    }
     const auto budget = std::chrono::nanoseconds(
         deadline_ns_.load(std::memory_order_relaxed));
     if (budget.count() > 0 && elapsed > budget) {

@@ -2,14 +2,14 @@
 //
 // The chaos soak (bench_serve_soak --chaos) and the robustness tests need
 // to make the pipeline fail on demand — solver outages, corrupt readings,
-// publishes that stall, solves that blow their deadline — without
-// touching production code paths.  FaultInjector is that control panel:
-// each FaultKind is armed with a schedule over that kind's own attempt
-// counter (deterministic — no clocks, no real randomness beyond the
-// seed), and the injector's engine_hooks() compiles the armed state into
-// the api::UpdateHooks seams the Engine consults.  Everything is
-// runtime-re-armable: the soak arms faults mid-run, lets sites degrade,
-// then clear()s and asserts every site recovers.
+// solves that blow their deadline — without touching production code
+// paths.  FaultInjector is that control panel: each FaultKind is armed
+// with a schedule over that kind's own attempt counter (deterministic —
+// no clocks, no real randomness beyond the seed), and the injector's
+// engine_hooks() compiles the armed state into the api::UpdateHooks seams
+// the Engine consults.  Everything is runtime-re-armable: the soak arms
+// faults mid-run, lets sites degrade, then clear()s and asserts every
+// site recovers.
 //
 // Thread-safe: schedules sit behind a mutex (cold path), the delay /
 // deadline knobs are relaxed atomics read by the hooks.
@@ -31,7 +31,6 @@ enum class FaultKind : std::uint32_t {
   kSolverFailure = 0,       ///< on_solve returns kUnavailable
   kCorruptObservation = 1,  ///< corrupt() mangles a reading (sampled by
                             ///< the producer via fire())
-  kDelayPublish = 2,        ///< before_publish sleeps publish_delay
   kSlowSolve = 3,           ///< on_solve sleeps solve_delay (then the
                             ///< deadline trips at before_publish)
 };
@@ -74,7 +73,6 @@ class FaultInjector {
 
   // --- runtime knobs read by the hooks (relaxed atomics) ---------------
   void set_solve_delay(std::chrono::nanoseconds delay);
-  void set_publish_delay(std::chrono::nanoseconds delay);
   /// Cooperative update deadline enforced at before_publish; zero (the
   /// default) disables enforcement.
   void set_deadline(std::chrono::nanoseconds deadline);
@@ -86,10 +84,9 @@ class FaultInjector {
   ///   on_solve: a kSlowSolve firing sleeps solve_delay and lets the
   ///     solve proceed (so the *deadline* trips, not the solver); else a
   ///     kSolverFailure firing returns kUnavailable.
-  ///   before_publish: a kDelayPublish firing sleeps publish_delay;
-  ///     then, with a deadline set, an over-budget elapsed returns
-  ///     kDeadlineExceeded — the Engine aborts the commit and the site
-  ///     keeps serving its last-good bundle.
+  ///   before_publish: with a deadline set, an over-budget elapsed
+  ///     returns kDeadlineExceeded — the Engine aborts the commit and the
+  ///     site keeps serving its last-good bundle.
   api::UpdateHooks engine_hooks();
 
  private:
@@ -104,7 +101,6 @@ class FaultInjector {
   std::unordered_map<std::uint32_t, KindState> kinds_;
   rng::Rng rng_;
   std::atomic<std::int64_t> solve_delay_ns_{0};
-  std::atomic<std::int64_t> publish_delay_ns_{0};
   std::atomic<std::int64_t> deadline_ns_{0};
 };
 

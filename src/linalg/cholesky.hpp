@@ -10,35 +10,18 @@
 // Every failure/recovery/fallback is counted in SpdStats so a sweep that
 // quietly degrades to the 4x-slower path is visible in diagnostics.
 //
-// The `_in_place` / `_into` variants are the allocation-free hot-path
-// kernels: they factor and solve entirely inside caller-owned storage.
+// There is one factor convention: an UPPER-triangular R with a = R^T R,
+// produced by factor_spd / solve_spd_into / factor_spd_lanes and consumed
+// by the solve_factored_spd family.  Every entry point works in
+// caller-owned storage; only solve_spd_into's rare LU fallback allocates.
 #pragma once
 
 #include <cstdint>
-#include <optional>
-#include <vector>
+#include <span>
 
 #include "linalg/matrix.hpp"
 
 namespace iup::linalg {
-
-/// Lower-triangular factor L with a = L L^T, or nullopt when the input is
-/// not positive definite (within roundoff).
-std::optional<Matrix> cholesky(const Matrix& a);
-
-/// In-place variant: overwrites the lower triangle of `a` with L (the
-/// strict upper triangle is left untouched).  Returns false when `a` is
-/// not positive definite; the lower triangle is then partially destroyed,
-/// but since the strict upper triangle still holds the original symmetric
-/// entries a caller that saved the diagonal can restore `a` exactly.
-bool cholesky_in_place(Matrix& a);
-
-/// Solve a x = b where a is SPD, using a precomputed lower factor.
-std::vector<double> cholesky_solve(const Matrix& l, std::span<const double> b);
-
-/// Allocation-free solve: on entry `bx` holds b, on exit the solution
-/// (forward substitution runs in place, then back substitution).
-void cholesky_solve_in_place(const Matrix& l, std::span<double> bx);
 
 /// Factor an SPD matrix in place with the same deterministic diagonal-bump
 /// retry policy as solve_spd_into (failures/recoveries counted in the
@@ -55,9 +38,7 @@ void cholesky_solve_in_place(const Matrix& l, std::span<double> bx);
 bool factor_spd(Matrix& a, std::span<double> diag_scratch);
 
 /// Allocation-free solve against a factor_spd / solve_spd_into factor: on
-/// entry `bx` holds b, on exit the solution.  (Pairs ONLY with factor_spd;
-/// factors from cholesky() / cholesky_in_place are lower-triangular and
-/// solve through cholesky_solve_in_place instead.)
+/// entry `bx` holds b, on exit the solution.
 void solve_factored_spd(const Matrix& r, std::span<double> bx);
 
 /// Multi-RHS variant of solve_factored_spd: `panel` is a row-major n x k
@@ -100,13 +81,6 @@ unsigned factor_spd_lanes(std::span<double> lanes, std::size_t n);
 /// level's dot() per lane.  Lanes that failed to factor yield garbage.
 void solve_factored_spd_lanes(std::span<const double> factors,
                               std::span<double> bx, std::size_t n);
-
-/// Solve a x = b for SPD a.  Retries with a diagonal bump, then falls back
-/// to LU, so callers never have to branch on definiteness themselves.
-std::vector<double> solve_spd(const Matrix& a, std::span<const double> b);
-
-/// Solve a X = B for SPD a, column by column, reusing one factorisation.
-Matrix solve_spd(const Matrix& a, const Matrix& b);
 
 /// Allocation-free SPD solve for the sweep hot loop.  `a` is destroyed
 /// (it ends up holding a Cholesky factor or retry scratch); on entry `bx`

@@ -34,7 +34,6 @@ LuResult lu_decompose(const Matrix& a) {
     if (pivot != k) {
       for (std::size_t j = 0; j < n; ++j) std::swap(f.lu(k, j), f.lu(pivot, j));
       std::swap(f.perm[k], f.perm[pivot]);
-      f.sign = -f.sign;
     }
     const double pivot_val = f.lu(k, k);
     for (std::size_t i = k + 1; i < n; ++i) {
@@ -73,29 +72,6 @@ std::vector<double> lu_solve(const LuResult& f, std::span<const double> b) {
 
 std::vector<double> solve(const Matrix& a, std::span<const double> b) {
   return lu_solve(lu_decompose(a), b);
-}
-
-Matrix solve(const Matrix& a, const Matrix& b) {
-  if (a.rows() != b.rows()) {
-    throw std::invalid_argument("solve: row count mismatch");
-  }
-  const LuResult f = lu_decompose(a);
-  Matrix x(a.cols(), b.cols());
-  for (std::size_t j = 0; j < b.cols(); ++j) {
-    const auto xj = lu_solve(f, b.col(j));
-    x.set_col(j, xj);
-  }
-  return x;
-}
-
-Matrix inverse(const Matrix& a) { return solve(a, Matrix::identity(a.rows())); }
-
-double determinant(const Matrix& a) {
-  const LuResult f = lu_decompose(a);
-  if (f.singular) return 0.0;
-  double det = static_cast<double>(f.sign);
-  for (std::size_t i = 0; i < a.rows(); ++i) det *= f.lu(i, i);
-  return det;
 }
 
 }  // namespace iup::linalg

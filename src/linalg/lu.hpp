@@ -1,9 +1,9 @@
-// LU factorisation with partial pivoting, linear solves and inverses.
+// LU factorisation with partial pivoting and linear solves.
 //
-// Algorithm 1's per-column update (Eq. 24) inverts an r x r SPD-ish system
-// for every grid column; the LRR Z-update inverts (I + A^T A).  Both go
-// through `solve` / `inverse` here (Cholesky is used where SPD structure is
-// guaranteed; LU is the general-purpose fallback).
+// The solver pipeline's normal equations are SPD by construction and go
+// through the upper Cholesky factor in cholesky.hpp; the vector `solve`
+// here is the LU fallback solve_spd_into pays for when that factor fails
+// even after the diagonal bump (a genuinely indefinite system).
 #pragma once
 
 #include <vector>
@@ -15,7 +15,6 @@ namespace iup::linalg {
 struct LuResult {
   Matrix lu;                      ///< packed L (unit lower) and U factors
   std::vector<std::size_t> perm;  ///< row permutation applied to the input
-  int sign = 1;                   ///< permutation parity (for determinants)
   bool singular = false;          ///< true when a zero pivot was hit
 };
 
@@ -27,14 +26,5 @@ std::vector<double> lu_solve(const LuResult& f, std::span<const double> b);
 
 /// Solve a x = b (square, non-singular; throws on singular input).
 std::vector<double> solve(const Matrix& a, std::span<const double> b);
-
-/// Solve a X = B column-by-column.
-Matrix solve(const Matrix& a, const Matrix& b);
-
-/// Matrix inverse (throws on singular input).
-Matrix inverse(const Matrix& a);
-
-/// Determinant via LU.
-double determinant(const Matrix& a);
 
 }  // namespace iup::linalg

@@ -275,14 +275,6 @@ linalg::Matrix Testbed::mean_fingerprint(std::size_t day) const {
   return x;
 }
 
-std::vector<double> Testbed::mean_baselines(std::size_t day) const {
-  std::vector<double> out(num_links());
-  for (std::size_t i = 0; i < out.size(); ++i) {
-    out[i] = mean_baseline_rss(i, day);
-  }
-  return out;
-}
-
 rng::Rng Testbed::fork_rng(std::string_view label) const {
   return root_.fork(label);
 }
@@ -417,14 +409,6 @@ Testbed make_mixed_radio_testbed(MixedRadioOptions options) {
   testbed.set_sensing_mode(options.mode);
   testbed.set_missing_sources(std::move(options.missing_sources));
   return testbed;
-}
-
-std::vector<Testbed> make_paper_testbeds() {
-  std::vector<Testbed> out;
-  out.push_back(make_office_testbed());
-  out.push_back(make_library_testbed());
-  out.push_back(make_hall_testbed());
-  return out;
 }
 
 const std::vector<std::size_t>& paper_time_stamps() {

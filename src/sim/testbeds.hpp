@@ -76,9 +76,6 @@ class Testbed {
   /// ground truth for reconstruction-error metrics).
   linalg::Matrix mean_fingerprint(std::size_t day) const;
 
-  /// Per-link no-target baselines at day t (M values).
-  std::vector<double> mean_baselines(std::size_t day) const;
-
   /// Noiseless target-induced loss of link i for a target at cell j [dB].
   /// (Physics only: no multipath/scatter, time invariant.)
   double direct_loss_db(std::size_t link, std::size_t cell) const;
@@ -170,10 +167,6 @@ class Testbed {
 Testbed make_office_testbed(std::uint64_t seed = 11);
 Testbed make_library_testbed(std::uint64_t seed = 22);
 Testbed make_hall_testbed(std::uint64_t seed = 33);
-
-/// All three, in the order the paper reports them (hall/office/library is
-/// Fig. 19's order; we keep office first since it is the primary room).
-std::vector<Testbed> make_paper_testbeds();
 
 /// A heterogeneous deployment: links split between WiFi APs, BLE beacons
 /// and LoRa nodes (first/second/last third of the link list), each

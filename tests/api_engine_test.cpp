@@ -1,10 +1,13 @@
 // The service facade: snapshot versioning, Status/Result error paths,
-// pluggable solver backends and batched entry points.
+// the injected-solver seam and batched entry points.
 #include "api/engine.hpp"
 
 #include <gtest/gtest.h>
 
 #include <limits>
+#include <memory>
+#include <optional>
+#include <string>
 
 #include "core/updater.hpp"
 #include "eval/experiment.hpp"
@@ -237,23 +240,16 @@ TEST(EngineSnapshots, ReferenceOverrideCommitsNewCorrelation) {
   EXPECT_EQ(rep.value().reference_count, 9u);
 }
 
-TEST(EngineBackends, RegistryNamesResolve) {
-  for (const std::string& name : backend_names()) {
-    const auto backend = make_backend(name);
-    ASSERT_NE(backend, nullptr) << name;
-    EXPECT_EQ(backend->name(), name);
-  }
-  EXPECT_EQ(make_backend("no-such-solver"), nullptr);
-  EXPECT_THROW(Engine(EngineConfig().solver("no-such-solver")),
-               std::invalid_argument);
-}
-
 TEST(EngineBackends, BackendSelectionChangesTheSolve) {
   const auto& run = iup::test::office_run();
+  core::RsvdOptions unconstrained;
+  unconstrained.use_constraint1 = false;
+  unconstrained.use_constraint2 = false;
   Engine full = office_engine(run);
-  Engine basic = office_engine(run, EngineConfig().solver("basic-rsvd"));
+  Engine basic = office_engine(run, EngineConfig().rsvd(unconstrained));
   EXPECT_EQ(full.solver().name(), "self-augmented");
-  EXPECT_EQ(basic.solver().name(), "basic-rsvd");
+  EXPECT_TRUE(full.solver().uses_correlation());
+  EXPECT_FALSE(basic.solver().uses_correlation());
 
   const auto cells = full.reference_cells("office").value();
   const auto request = eval::collect_update_request(run, "office", cells, 45);
@@ -270,6 +266,80 @@ TEST(EngineBackends, BackendSelectionChangesTheSolve) {
   const double basic_err =
       eval::score_reconstruction(run, rep_basic.value().x_hat(), 45).mean_db;
   EXPECT_LT(full_err, basic_err);
+}
+
+// A forwarding decorator over SelfAugmentedBackend, injected through
+// EngineConfig::solver: counts the engine's solves and records which
+// optional inputs each solve received.
+class CountingBackend final : public SolverBackend {
+ public:
+  explicit CountingBackend(core::RsvdOptions options = {}) : inner_(options) {}
+
+  std::string name() const override { return "counting"; }
+  bool uses_correlation() const override { return inner_.uses_correlation(); }
+  bool uses_warm_start() const override { return inner_.uses_warm_start(); }
+  core::RsvdResult solve(const core::RsvdProblem& problem,
+                         const core::BandLayout& layout) const override {
+    ++solves;
+    saw_prediction = !problem.p.empty();
+    saw_warm_factor = !problem.l0.empty();
+    return inner_.solve(problem, layout);
+  }
+
+  mutable int solves = 0;
+  mutable bool saw_prediction = false;
+  mutable bool saw_warm_factor = false;
+
+ private:
+  SelfAugmentedBackend inner_;
+};
+
+TEST(EngineBackends, InjectedBackendIsCalledAndBitIdenticalWhenForwarding) {
+  const auto& run = iup::test::office_run();
+  const auto counting = std::make_shared<CountingBackend>();
+  Engine injected = office_engine(run, EngineConfig().solver(counting));
+  Engine plain = office_engine(run);
+  EXPECT_EQ(&injected.solver(), counting.get());
+
+  const auto cells = plain.reference_cells("office").value();
+  for (const std::size_t day : {15, 45}) {
+    const auto request =
+        eval::collect_update_request(run, "office", cells, day);
+    const auto a = injected.update(request);
+    const auto b = plain.update(request);
+    ASSERT_TRUE(a.ok()) << a.status().to_string();
+    ASSERT_TRUE(b.ok()) << b.status().to_string();
+    EXPECT_TRUE(a.value().x_hat() == b.value().x_hat()) << "day " << day;
+  }
+  EXPECT_EQ(counting->solves, 2);
+  EXPECT_TRUE(counting->saw_prediction);
+  // The second update starts from the first one's cached factor.
+  EXPECT_TRUE(counting->saw_warm_factor);
+  EXPECT_EQ(injected.warm_start_version("office"),
+            std::optional<std::uint64_t>{3});
+}
+
+TEST(EngineBackends, InjectedBackendCapabilitiesGateTheEngineInputs) {
+  const auto& run = iup::test::office_run();
+  core::RsvdOptions options;
+  options.max_iters = 2;
+  options.use_constraint1 = false;  // uses_correlation() == false
+  options.init = core::FactorInit::kRandom;  // uses_warm_start() == false
+  const auto counting = std::make_shared<CountingBackend>(options);
+  Engine engine = office_engine(run, EngineConfig().solver(counting));
+  ASSERT_FALSE(engine.solver().uses_correlation());
+  ASSERT_FALSE(engine.solver().uses_warm_start());
+
+  const auto cells = engine.reference_cells("office").value();
+  for (const std::size_t day : {15, 45}) {
+    const auto res = engine.update(
+        eval::collect_update_request(run, "office", cells, day));
+    ASSERT_TRUE(res.ok()) << res.status().to_string();
+    EXPECT_FALSE(counting->saw_prediction) << "day " << day;
+    EXPECT_FALSE(counting->saw_warm_factor) << "day " << day;
+  }
+  EXPECT_EQ(counting->solves, 2);
+  EXPECT_FALSE(engine.warm_start_version("office").has_value());
 }
 
 TEST(EngineBatch, BatchedUpdatesMatchSequentialExactly) {

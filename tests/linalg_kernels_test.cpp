@@ -144,51 +144,6 @@ TEST(FusedNorms, MatchAllocatingExpressions) {
             frobenius_norm_sq(mask.hadamard(x) - y));
 }
 
-TEST(CholeskyInPlace, MatchesAllocatingFactorization) {
-  rng::Rng rng(19);
-  const Matrix f = test::random_matrix(12, 12, rng);
-  Matrix spd = f.gram();
-  for (std::size_t i = 0; i < 12; ++i) spd(i, i) += 0.5;
-
-  const auto l = cholesky(spd);
-  ASSERT_TRUE(l.has_value());
-  Matrix in_place = spd;
-  ASSERT_TRUE(cholesky_in_place(in_place));
-  for (std::size_t i = 0; i < 12; ++i) {
-    for (std::size_t j = 0; j <= i; ++j) {
-      EXPECT_EQ(in_place(i, j), (*l)(i, j)) << i << "," << j;
-    }
-    // The strict upper triangle must keep the original entries (the
-    // restore-on-retry contract of solve_spd_into).
-    for (std::size_t j = i + 1; j < 12; ++j) {
-      EXPECT_EQ(in_place(i, j), spd(i, j));
-    }
-  }
-
-  std::vector<double> b(12);
-  for (double& v : b) v = rng.normal();
-  std::vector<double> x_ref = cholesky_solve(*l, b);
-  std::vector<double> x_in_place = b;
-  cholesky_solve_in_place(*l, x_in_place);
-  EXPECT_EQ(x_in_place, x_ref);
-}
-
-TEST(SolveSpdInto, MatchesSolveSpdOnWellConditionedSystems) {
-  rng::Rng rng(20);
-  const Matrix f = test::random_matrix(16, 16, rng);
-  Matrix spd = f.gram();
-  for (std::size_t i = 0; i < 16; ++i) spd(i, i) += 0.05;
-  std::vector<double> b(16);
-  for (double& v : b) v = rng.normal();
-
-  const std::vector<double> expected = solve_spd(spd, b);
-  Matrix work = spd;
-  std::vector<double> bx = b;
-  std::vector<double> diag(16);
-  solve_spd_into(work, bx, diag);
-  EXPECT_EQ(bx, expected);
-}
-
 TEST(SolveSpdInto, BumpRetryRescuesNearSingularSystems) {
   reset_spd_stats();
   // Rank-deficient Gram matrix with zero regularisation: plain Cholesky
