@@ -322,7 +322,7 @@ void BM_IngestObservation(benchmark::State& state) {
   std::uint64_t k = 0;
   for (auto _ : state) {
     ingest::Observation obs{k % 8, (k * 7) % 96,
-                            -50.0 - static_cast<double>(k % 13), k};
+                            -50.0 - static_cast<double>(k % 13), k, {}};
     benchmark::DoNotOptimize(buffer.push(obs));
     if (++k % 4096 == 0) buffer.consume();  // stay under capacity
   }

@@ -272,7 +272,7 @@ int main(int argc, char** argv) {
         const auto sample = sampler.online_measurement(cell, day, 1);
         for (std::size_t link = 0; link < sample.size(); ++link) {
           ingest::Observation obs{link, cell, sample[link],
-                                  static_cast<std::uint64_t>(day)};
+                                  static_cast<std::uint64_t>(day), {}};
           if (faults.fire(ingest::FaultKind::kCorruptObservation)) {
             faults.corrupt(obs);
           }

@@ -8,7 +8,7 @@
 #                    forwarded as -DIUP_SANITIZE and skips the bench smoke
 #                    (numbers under instrumentation are meaningless)
 #   CTEST_FILTER     regex for ctest -R (the TSan job restricts itself to
-#                    the thread-pool / determinism suites)
+#                    the thread-pool / determinism / durability suites)
 #   ARCH             -march target forwarded as -DIUP_ARCH (the AVX2 cell
 #                    passes x86-64-v3 to exercise the SIMD kernel level)
 # ccache is picked up automatically when it is on PATH (the CI matrix

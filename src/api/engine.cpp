@@ -76,17 +76,6 @@ Engine::Engine(EngineConfig config)
   lrr_warm_enabled_ = config_.lrr_warm_start();
 }
 
-std::shared_ptr<const core::LrrWarmStart> Engine::lrr_warm_for(
-    const std::string& site, std::uint64_t version) const {
-  if (!lrr_warm_enabled_) return nullptr;
-  const auto shard = shards_->find(site);
-  if (shard == nullptr) return nullptr;
-  const auto lock = shard->lock_for_update();
-  const serve::WarmCaches& caches = shard->caches(lock);
-  if (caches.lrr_version != version) return nullptr;
-  return caches.lrr;
-}
-
 std::shared_ptr<const core::LrrWarmStart> Engine::lrr_state_of(
     const linalg::Matrix& z, core::LrrResult&& result) {
   auto state = std::make_shared<core::LrrWarmStart>();
@@ -95,28 +84,6 @@ std::shared_ptr<const core::LrrWarmStart> Engine::lrr_state_of(
   state->y2 = std::move(result.y2);
   state->mu = result.mu_final;
   return state;
-}
-
-void Engine::cache_warm_state(
-    const std::string& site, std::uint64_t version,
-    std::shared_ptr<const linalg::Matrix> factor,
-    std::shared_ptr<const core::LrrWarmStart> lrr) const {
-  if (factor == nullptr && lrr == nullptr) return;
-  const auto shard = shards_->find(site);
-  if (shard == nullptr) return;  // site dropped since the commit
-  const auto lock = shard->lock_for_update();
-  serve::WarmCaches& caches = shard->caches(lock);
-  // Monotonic: never let a slower writer overwrite a newer commit's cache
-  // with an older entry (consultation is exact-version-match, so a stale
-  // overwrite would only cost a cold start — but it is free to prevent).
-  if (factor != nullptr && version >= caches.factor_version) {
-    caches.factor_version = version;
-    caches.factor = std::move(factor);
-  }
-  if (lrr != nullptr && version >= caches.lrr_version) {
-    caches.lrr_version = version;
-    caches.lrr = std::move(lrr);
-  }
 }
 
 Result<std::shared_ptr<const loc::Localizer>> Engine::build_localizer(
@@ -217,8 +184,8 @@ Result<SnapshotPtr> Engine::register_site(std::string site,
     core::LrrResult lrr =
         core::acquire_correlation_full(mic, x_original, core::LrrOptions{});
     z = std::move(lrr.z);
-    // Seed the refresh warm-start cache from the registration solve, so
-    // even the site's first update refreshes warm.
+    // Publish the registration solve's ADMM state, so even the site's
+    // first update refreshes warm.
     if (lrr_warm_enabled_) lrr_state = lrr_state_of(z, std::move(lrr));
   } catch (const std::exception& e) {
     return Status::internal(std::string("register_site: ") + e.what());
@@ -230,7 +197,6 @@ Result<SnapshotPtr> Engine::register_site(std::string site,
       build_localizer(x_original, nullptr);
   if (!localizer.ok()) return localizer.status();
 
-  std::uint64_t version = 0;
   SnapshotPtr published;
   {
     const auto lock = state_lock();
@@ -245,16 +211,16 @@ Result<SnapshotPtr> Engine::register_site(std::string site,
         std::move(b_mask), layout, std::move(mic.reference_cells),
         std::move(z), /*day=*/0, std::move(sources));
     if (const Status put = store_.put(snapshot); !put.ok()) return put;
-    version = snapshot->version();
     published = snapshot;
     const auto shard = shards_->emplace(site);
     shard->publish(std::make_shared<const serve::PublishedSite>(
-        serve::PublishedSite{published, std::move(localizer).value()}));
+        serve::PublishedSite{published, std::move(localizer).value(),
+                             {nullptr, lrr_state}}));
   }
-  cache_warm_state(site, version, nullptr, lrr_state);
   // Durability tap: registration is a commit like any other (version 1).
   if (hooks_.after_commit) {
-    hooks_.after_commit(CommitEvent{published, nullptr, std::move(lrr_state)});
+    hooks_.after_commit(
+        CommitEvent{published, {nullptr, std::move(lrr_state)}});
   }
   return published;
 }
@@ -263,29 +229,9 @@ Status Engine::drop_site(const std::string& site) {
   const auto lock = state_lock();
   deployments_.erase(site);
   // Readers that already resolved the shard keep serving its last bundle;
-  // new lookups miss.  Warm caches die with the shard.
+  // new lookups miss.
   shards_->erase(site);
   return store_.erase_site(site);
-}
-
-std::optional<std::uint64_t> Engine::warm_start_version(
-    const std::string& site) const {
-  const auto shard = shards_->find(site);
-  if (shard == nullptr) return std::nullopt;
-  const auto lock = shard->lock_for_update();
-  const serve::WarmCaches& caches = shard->caches(lock);
-  if (caches.factor == nullptr) return std::nullopt;
-  return caches.factor_version;
-}
-
-std::optional<std::uint64_t> Engine::lrr_warm_version(
-    const std::string& site) const {
-  const auto shard = shards_->find(site);
-  if (shard == nullptr) return std::nullopt;
-  const auto lock = shard->lock_for_update();
-  const serve::WarmCaches& caches = shard->caches(lock);
-  if (caches.lrr == nullptr) return std::nullopt;
-  return caches.lrr_version;
 }
 
 Status Engine::attach_deployment(const std::string& site,
@@ -323,8 +269,10 @@ Status Engine::attach_deployment(const std::string& site,
     return Status();
   }
   if (const auto shard = shards_->find(site); shard != nullptr) {
+    // Same version, so the warm state its commit published carries over.
     shard->publish(std::make_shared<const serve::PublishedSite>(
-        serve::PublishedSite{snap, std::move(localizer).value()}));
+        serve::PublishedSite{snap, std::move(localizer).value(),
+                             shard->published()->warm}));
   }
   return Status();
 }
@@ -377,9 +325,9 @@ Status Engine::set_reference_cells_impl(const std::string& site,
     }
   }
 
-  // A reference-set change invalidates any cached ADMM state by shape, so
-  // this refresh always solves cold (the convergence-preserving reset) —
-  // and its state re-seeds the cache for the version it commits.
+  // A reference-set change invalidates the published ADMM state by shape,
+  // so this refresh always solves cold (the convergence-preserving reset)
+  // — and its state is the warm start the version it commits publishes.
   Result<core::LrrResult> refreshed =
       refreshed_correlation(snap->database(), cells, nullptr);
   if (!refreshed.ok()) {
@@ -391,7 +339,6 @@ Status Engine::set_reference_cells_impl(const std::string& site,
   std::shared_ptr<const core::LrrWarmStart> lrr_state;
   if (lrr_warm_enabled_) lrr_state = lrr_state_of(z, std::move(lrr));
 
-  std::uint64_t version = 0;
   SnapshotPtr committed;
   {
     const auto lock = state_lock();
@@ -406,27 +353,36 @@ Status Engine::set_reference_cells_impl(const std::string& site,
         snap->layout(), std::move(cells), std::move(z), snap->day(),
         snap->sources());
     if (const Status put = store_.put(next); !put.ok()) return put;
-    version = next->version();
     committed = next;
     if (const auto shard = shards_->find(site); shard != nullptr) {
       // The database is unchanged, so the published localizer matches the
       // new snapshot bit for bit — republish it with the new version
-      // rather than rebuilding the dictionary.
+      // rather than rebuilding the dictionary.  No solve ran, so the
+      // next update starts its solver cold.
       const serve::PublishedPtr bundle = shard->published();
       shard->publish(std::make_shared<const serve::PublishedSite>(
-          serve::PublishedSite{std::move(next), bundle->localizer}));
+          serve::PublishedSite{std::move(next), bundle->localizer,
+                               {nullptr, lrr_state}}));
     }
   }
-  cache_warm_state(site, version, nullptr, lrr_state);
   if (hooks_.after_commit) {
     hooks_.after_commit(
-        CommitEvent{std::move(committed), nullptr, std::move(lrr_state)});
+        CommitEvent{std::move(committed), {nullptr, std::move(lrr_state)}});
   }
   return Status();
 }
 
-Result<UpdateResult> Engine::solve_request(const FingerprintSnapshot& snap,
+Result<serve::PublishedPtr> Engine::latest_bundle_locked(
+    const std::string& site) const {
+  if (const Result<SnapshotPtr> latest = store_.latest(site); !latest.ok()) {
+    return latest.status();
+  }
+  return shards_->find(site)->published();
+}
+
+Result<UpdateResult> Engine::solve_request(const serve::PublishedSite& bundle,
                                            const UpdateRequest& request) const {
+  const FingerprintSnapshot& snap = *bundle.snapshot;
   const core::UpdateInputs& inputs = request.inputs;
   const linalg::Matrix& mask = snap.mask();
   if (inputs.x_b.rows() != mask.rows() || inputs.x_b.cols() != mask.cols()) {
@@ -498,19 +454,11 @@ Result<UpdateResult> Engine::solve_request(const FingerprintSnapshot& snap,
   if (backend_->uses_correlation()) {
     problem.p = inputs.x_r * snap.correlation();
   }
-  if (warm_start_enabled_) {
-    // Seed the solver from the cached factor when — and only when — it was
-    // derived from the exact snapshot this solve reads; any other version
-    // means the site moved underneath the cache and the solver starts cold.
-    // Only the pointer moves under the shard lock; the copy happens
-    // outside it.
-    std::shared_ptr<const linalg::Matrix> cached;
-    if (const auto shard = shards_->find(snap.site()); shard != nullptr) {
-      const auto lock = shard->lock_for_update();
-      const serve::WarmCaches& caches = shard->caches(lock);
-      if (caches.factor_version == snap.version()) cached = caches.factor;
-    }
-    if (cached != nullptr) problem.l0 = *cached;
+  // Seed the solver from the factor the commit of this exact snapshot
+  // published; a null factor (registration, set_reference_cells) starts
+  // it cold.
+  if (warm_start_enabled_ && bundle.warm.factor != nullptr) {
+    problem.l0 = *bundle.warm.factor;
   }
 
   UpdateResult result;
@@ -526,9 +474,14 @@ Result<UpdateResult> Engine::solve_request(const FingerprintSnapshot& snap,
 }
 
 Result<UpdateResult> Engine::reconstruct(const UpdateRequest& request) const {
-  Result<SnapshotPtr> latest = snapshot(request.site);
-  if (!latest.ok()) return latest.status();
-  return solve_request(*latest.value(), request);
+  serve::PublishedPtr bundle;
+  {
+    const auto lock = state_lock();
+    Result<serve::PublishedPtr> latest = latest_bundle_locked(request.site);
+    if (!latest.ok()) return latest.status();
+    bundle = std::move(latest).value();
+  }
+  return solve_request(*bundle, request);
 }
 
 Result<core::LrrResult> Engine::refreshed_correlation(
@@ -597,47 +550,45 @@ Result<SiteHealth> Engine::site_health(const std::string& site) const {
 
 Result<UpdateResult> Engine::update_impl(const UpdateRequest& request) {
   const auto start = std::chrono::steady_clock::now();
-  SnapshotPtr snap;
+  serve::PublishedPtr bundle;
   const sim::Deployment* deployment = nullptr;
   {
     const auto lock = state_lock();
-    Result<SnapshotPtr> latest = store_.latest(request.site);
+    Result<serve::PublishedPtr> latest = latest_bundle_locked(request.site);
     if (!latest.ok()) return latest.status();
-    snap = latest.value();
+    bundle = std::move(latest).value();
     const auto dep = deployments_.find(request.site);
     if (dep != deployments_.end()) deployment = dep->second;
   }
+  const SnapshotPtr& snap = bundle->snapshot;
 
   // The solve — the expensive part — runs outside the state lock; only
   // the commit below re-acquires it.  Per-site ordering is the caller's
   // (or update_batch's) responsibility, exactly as before.
-  Result<UpdateResult> solved = solve_request(*snap, request);
+  Result<UpdateResult> solved = solve_request(*bundle, request);
   if (!solved.ok()) return solved;
   UpdateResult result = std::move(solved).value();
 
   // Post-solve correlation refresh: the reconstruction becomes the latest
   // database, and Z is re-acquired from it for the next cycle (the
   // paper's "original or latest updated" phrasing).  Runs outside the
-  // lock, warm-started from the ADMM state cached for the exact snapshot
-  // this update read (version jumps reset to a cold solve).
+  // lock, warm-started from the ADMM state published with the snapshot
+  // this update read.
   std::vector<std::size_t> cells = snap->reference_cells();
-  const std::shared_ptr<const core::LrrWarmStart> lrr_warm =
-      lrr_warm_for(request.site, snap->version());
-  Result<core::LrrResult> refreshed =
-      refreshed_correlation(result.solver.x_hat, cells, lrr_warm.get());
+  Result<core::LrrResult> refreshed = refreshed_correlation(
+      result.solver.x_hat, cells,
+      lrr_warm_enabled_ ? bundle->warm.lrr.get() : nullptr);
   if (!refreshed.ok()) {
     return Status::internal("update: " + refreshed.status().message());
   }
   core::LrrResult lrr = std::move(refreshed).value();
   linalg::Matrix z = std::move(lrr.z);
-  std::shared_ptr<const core::LrrWarmStart> lrr_state;
-  if (lrr_warm_enabled_) lrr_state = lrr_state_of(z, std::move(lrr));
-
-  // Copy the converged factor for the cache before taking the lock (only
-  // the pointer is exchanged under it).
-  std::shared_ptr<const linalg::Matrix> warm_factor;
+  // The warm state the committed bundle publishes, built before taking
+  // the lock.
+  serve::WarmState warm;
+  if (lrr_warm_enabled_) warm.lrr = lrr_state_of(z, std::move(lrr));
   if (warm_start_enabled_) {
-    warm_factor = std::make_shared<linalg::Matrix>(result.solver.l);
+    warm.factor = std::make_shared<linalg::Matrix>(result.solver.l);
   }
 
   // Fault-injection / deadline seam: the everything-is-built,
@@ -689,20 +640,14 @@ Result<UpdateResult> Engine::update_impl(const UpdateRequest& request) {
       // of order; a localize overlapping this store is entirely lock-free
       // (it loads the atomic bundle pointer, not this mutex).
       shard->publish(std::make_shared<const serve::PublishedSite>(
-          serve::PublishedSite{next, std::move(localizer).value()}));
+          serve::PublishedSite{next, std::move(localizer).value(), warm}));
     }
     result.committed_version = next->version();
     result.snapshot = std::move(next);
     break;
   }
-  // The converged factor is the warm start for the next solve reading the
-  // committed snapshot; version-paired in the shard cache (see
-  // cache_warm_state for why post-lock writes stay consistent).
-  cache_warm_state(request.site, result.committed_version, warm_factor,
-                   lrr_state);
   if (hooks_.after_commit) {
-    hooks_.after_commit(CommitEvent{result.snapshot, std::move(warm_factor),
-                                    std::move(lrr_state)});
+    hooks_.after_commit(CommitEvent{result.snapshot, std::move(warm)});
   }
   return result;
 }

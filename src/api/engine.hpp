@@ -9,8 +9,8 @@
 // Status / Result<T>; exceptions never cross this boundary.
 //
 // Serving architecture (src/serve/): each site is backed by a SiteShard
-// whose published {snapshot, localizer} bundle is swapped RCU-style by the
-// write paths, so localize()/localize_batch() run WITHOUT ANY LOCK in
+// whose published {snapshot, localizer, warm} bundle is swapped RCU-style
+// by the write paths, so localize()/localize_batch() run WITHOUT ANY LOCK in
 // steady state — they resolve the shard through the registry's lock-free
 // map, load one published pointer (serve::RcuSlot) and compute against
 // the immutable bundle.  A localize overlapping an update observes either
@@ -26,10 +26,10 @@
 // Batched entry points (update_batch / localize_batch) amortize per-site
 // state: snapshots and correlation matrices are reused from the store, the
 // localizer (whose construction builds the matching dictionary) lives in
-// the published bundle, and each commit caches its converged solver factor
-// in the site's shard as a versioned warm start for the next solve of the
-// same snapshot (EngineConfig::warm_start, on by default), skipping the
-// per-update initialisation SVD.  With EngineConfig::threads(n) > 1 they
+// the published bundle, and each commit publishes its converged solver
+// factor in that bundle as the warm start for the next solve
+// (EngineConfig::warm_start, on by default), skipping the per-update
+// initialisation SVD.  With EngineConfig::threads(n) > 1 they
 // fan out over iup::parallel: update_batch parallelises across *sites*
 // (same-site requests stay strictly ordered, so batches remain exactly
 // equivalent to sequential update() calls) and localize_batch across
@@ -40,7 +40,6 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <span>
 #include <string>
 #include <unordered_map>
@@ -213,23 +212,9 @@ class Engine {
   const serve::ShardRegistry& shards() const { return *shards_; }
 
   /// The site's current published serving bundle (lock-free).  Holding
-  /// the pointer pins that exact {snapshot, localizer} version across
-  /// any number of concurrent updates or evictions.
+  /// the pointer pins that exact {snapshot, localizer, warm} version
+  /// across any number of concurrent updates or evictions.
   Result<serve::PublishedPtr> published(const std::string& site) const;
-
-  /// Snapshot version the site's cached warm-start factor was derived
-  /// from, or nullopt when the cache is empty (warm_start(false), never
-  /// updated, or dropped).  A cached version older than the site's latest
-  /// snapshot means the next solve re-initialises cold — the cache is
-  /// consulted only when the versions match exactly.  Introspection for
-  /// tests and monitoring.
-  std::optional<std::uint64_t> warm_start_version(
-      const std::string& site) const;
-
-  /// Snapshot version of the site's cached LRR ADMM warm-start state
-  /// (correlation refresh), or nullopt when empty.  Same exact-match
-  /// consultation rule as warm_start_version().
-  std::optional<std::uint64_t> lrr_warm_version(const std::string& site) const;
 
   /// Health/staleness snapshot for one site: update pipeline state,
   /// serving version vs latest commit, quarantine tallies and the SPD
@@ -241,18 +226,18 @@ class Engine {
 
   // --- durability (implemented in src/persist/engine_persist.cpp) ------
   /// Write a durable checkpoint of every site — retained snapshot chain,
-  /// warm-start caches, health counters — into `dir` (created if needed)
-  /// with atomic publication (temp + fsync + rename).  Safe to call
-  /// concurrently with updates: it collects a commit-consistent view per
-  /// site (never holding the commit lock across I/O) and never touches
+  /// the published bundle's warm state, health counters — into `dir`
+  /// (created if needed) with atomic publication (temp + fsync + rename).
+  /// Safe to call concurrently with updates: it collects every site under
+  /// one commit-lock hold (never holding it across I/O) and never touches
   /// the serve read path.
   Status save_checkpoint(const std::string& dir) const;
   /// Crash recovery into a FRESH engine (kFailedPrecondition when any
   /// site is already registered): load `dir`'s checkpoint (if present),
   /// replay the WAL suffix (torn tail tolerated, mid-stream corruption is
-  /// kDataLoss), republish every site at its recovered latest version and
-  /// reinstall the warm caches so the next solves are bit-identical to an
-  /// uninterrupted run.  kNotFound when `dir` holds no durable state at
+  /// kDataLoss), and republish every site at its recovered latest version
+  /// with that version's warm state, so the next solves are bit-identical
+  /// to an uninterrupted run.  kNotFound when `dir` holds no durable state at
   /// all.  Deployment geometry is not persisted — re-attach after
   /// restore; the engine's config must match the writer's for
   /// bit-identity (documented in README).
@@ -264,9 +249,15 @@ class Engine {
   Status set_reference_cells_impl(const std::string& site,
                                   std::vector<std::size_t> cells);
 
-  /// Validate `request` against `snapshot` and run the solver, seeding it
-  /// from the shard's warm-start cache when the cached version matches.
-  Result<UpdateResult> solve_request(const FingerprintSnapshot& snapshot,
+  /// The site's published bundle, read under the commit lock (the caller
+  /// holds it), where it is always the store's latest version: every
+  /// commit publishes inside the same critical section.
+  Result<serve::PublishedPtr> latest_bundle_locked(
+      const std::string& site) const;
+
+  /// Validate `request` against the bundle's snapshot and run the solver,
+  /// seeding it from the bundle's warm factor when warm_start is on.
+  Result<UpdateResult> solve_request(const serve::PublishedSite& bundle,
                                      const UpdateRequest& request) const;
 
   /// update() minus the health accounting wrapper.
@@ -288,10 +279,6 @@ class Engine {
       const linalg::Matrix& x_hat, const std::vector<std::size_t>& cells,
       const core::LrrWarmStart* warm) const;
 
-  /// Cached LRR state for solves reading snapshot `version` of `site`
-  /// (nullptr on version mismatch / empty cache) from the site's shard.
-  std::shared_ptr<const core::LrrWarmStart> lrr_warm_for(
-      const std::string& site, std::uint64_t version) const;
   static std::shared_ptr<const core::LrrWarmStart> lrr_state_of(
       const linalg::Matrix& z, core::LrrResult&& result);
 
@@ -308,18 +295,12 @@ class Engine {
     return std::unique_lock<std::mutex>(*state_mutex_);
   }
 
-  /// Store the post-commit warm-start caches in the site's shard (its own
-  /// lock; never held together with the commit lock).  Null pointers skip
-  /// their slot.
-  void cache_warm_state(const std::string& site, std::uint64_t version,
-                        std::shared_ptr<const linalg::Matrix> factor,
-                        std::shared_ptr<const core::LrrWarmStart> lrr) const;
-
   // --- durability internals (src/persist/engine_persist.cpp) -----------
   /// Commit-consistent value image of every site for checkpointing.
   persist::EngineImage collect_persist_image() const;
   /// Install one checkpointed site into a fresh engine: restore the
-  /// chain, publish the latest version, reinstall warm caches + health.
+  /// chain, publish its latest version with the checkpointed warm state,
+  /// restore the health counters.
   Status install_restored_site(persist::SiteImage image);
   /// Apply one WAL record during replay (idempotent: versions at or below
   /// the site's restored latest are skipped; a gap is kDataLoss).
@@ -331,9 +312,9 @@ class Engine {
   UpdateHooks hooks_;
   std::shared_ptr<const SolverBackend> backend_;
   /// warm_start() requested AND the backend actually consumes problem.l0;
-  /// otherwise the cache is bypassed entirely (no copies, no retention).
+  /// otherwise no factor is published (no copies, no retention).
   bool warm_start_enabled_ = false;
-  /// config_.lrr_warm_start(): cache + resume the ADMM state of the
+  /// config_.lrr_warm_start(): publish + resume the ADMM state of the
   /// correlation refreshes.
   bool lrr_warm_enabled_ = false;
   /// The COMMIT lock: guards store_ and deployments_ (and serialises
@@ -346,7 +327,7 @@ class Engine {
   std::unique_ptr<std::mutex> state_mutex_ = std::make_unique<std::mutex>();
   SnapshotStore store_;
   std::unordered_map<std::string, const sim::Deployment*> deployments_;
-  /// Per-site serving shards: published bundles + warm-start caches.
+  /// Per-site serving shards: published bundles + health counters.
   /// unique_ptr (registry is non-movable) so Engine stays movable.
   std::unique_ptr<serve::ShardRegistry> shards_ =
       std::make_unique<serve::ShardRegistry>();

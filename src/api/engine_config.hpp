@@ -23,8 +23,8 @@
 #include "api/snapshot.hpp"
 #include "api/solver_backend.hpp"
 #include "api/status.hpp"
-#include "core/lrr.hpp"
 #include "core/rsvd.hpp"
+#include "serve/shard.hpp"
 
 namespace iup::api {
 
@@ -37,16 +37,13 @@ enum class LocalizerKind {
 
 /// One successfully committed snapshot, as observed by the after_commit
 /// hook: the exact immutable state a durability layer must write to make
-/// a later restore bit-identical.  The warm-cache pointers mirror what
-/// Engine::cache_warm_state installed for this version (null when the
-/// corresponding cache is disabled or the commit path produced none) —
-/// persisting them matters because the caches change later solver
-/// iterates, so a replay that re-solved from cold caches would drift
+/// a later restore bit-identical — the snapshot and the warm state its
+/// published bundle carries.  Persisting the warm state matters because
+/// it seeds later solves, so a replay that re-solved cold would drift
 /// from the uninterrupted run at the byte level.
 struct CommitEvent {
   SnapshotPtr snapshot;  ///< the committed version (never null)
-  std::shared_ptr<const linalg::Matrix> warm_factor;    ///< converged L
-  std::shared_ptr<const core::LrrWarmStart> lrr_state;  ///< ADMM state
+  serve::WarmState warm;
 };
 
 /// Failure-path and durability seams on the update pipeline, default-empty
@@ -70,12 +67,12 @@ struct UpdateHooks {
   /// kDeadlineExceeded when `elapsed` is past budget).
   std::function<Status(std::chrono::nanoseconds elapsed)> before_publish;
   /// Fired once per committed snapshot (register_site,
-  /// set_reference_cells and every update() commit), after publication
-  /// and warm-cache installation, OUTSIDE the commit lock and every shard
-  /// lock.  The commit is already visible to readers, so the hook cannot
-  /// veto it — a durability layer that crashes between publish and its
-  /// WAL append loses at most this in-flight commit, never a published
-  /// prefix.  Runs on the committing thread; keep it cheap or hand off.
+  /// set_reference_cells and every update() commit), after publication,
+  /// OUTSIDE the commit lock.  The commit is already visible to readers,
+  /// so the hook cannot veto it — a durability layer that crashes between
+  /// publish and its WAL append loses at most this in-flight commit, never
+  /// a published prefix.  Runs on the committing thread; keep it cheap or
+  /// hand off.
   std::function<void(const CommitEvent&)> after_commit;
 };
 
@@ -88,8 +85,9 @@ class EngineConfig {
     return *this;
   }
   /// Reuse the previous snapshot's converged factor as the solver's L0
-  /// (versioned per-site cache, invalidated whenever the site moves to a
-  /// version the cache was not derived from) instead of paying for a fresh
+  /// (carried in the site's published bundle, so only the update that
+  /// committed a version seeds the next solve; registration and
+  /// set_reference_cells publish none) instead of paying for a fresh
   /// warm-start SVD on every update.  Only backends that consume the
   /// factor participate (FactorInit::kWarmStart).  NOTE: on by default,
   /// which changes the second-and-later update() iterates (and thus
@@ -103,12 +101,12 @@ class EngineConfig {
     return *this;
   }
   /// Warm-start each post-commit correlation refresh from the previous
-  /// snapshot's ADMM state (Z + multipliers + penalty, versioned per-site
-  /// cache like the solver factor above) instead of solving the LRR cold
-  /// — roughly a 3-4x cut in refresh iterations on slowly-drifting
-  /// databases.  A version jump the cache was not derived from (e.g.
-  /// set_reference_cells) resets to a cold solve, so stale state can
-  /// never leak across reference sets.  Changes refreshed Z values at
+  /// snapshot's ADMM state (Z + multipliers + penalty, carried in the
+  /// published bundle like the solver factor above) instead of solving
+  /// the LRR cold — roughly a 3-4x cut in refresh iterations on
+  /// slowly-drifting databases.  set_reference_cells solves its own
+  /// refresh cold and publishes that state, so stale state can never
+  /// leak across reference sets.  Changes refreshed Z values at
   /// iterate level (same fixed point within the ADMM tolerance); results
   /// remain bit-identical across thread counts and across engines
   /// replaying the same request sequence.  Set false for cold-refresh

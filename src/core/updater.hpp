@@ -10,7 +10,8 @@
 //
 // The pipeline's service entry point is iup::api::Engine
 // (src/api/engine.hpp): versioned snapshots, Status-based error handling,
-// batched updates, warm-start caches and pluggable solver backends.  The
+// batched updates, warm starts carried in each site's published bundle
+// and pluggable solver backends.  The
 // pre-Engine IUpdater shim that used to live here was retired once its
 // last callers migrated; what remains is the correlation-acquisition seam
 // the Engine (and tests) drive directly, plus the input value type every

@@ -6,7 +6,8 @@
 // each accepted reading's residual against the *served* snapshot feeding
 // an EwmaDriftDetector), and once a site's detector crosses its threshold
 // — or trigger() forces the issue — the supervisor runs Algorithm 1
-// through Engine::update() off the per-shard warm caches.
+// through Engine::update(), which starts from the warm state in the site's
+// published bundle.
 //
 // Failure handling is the point of this class:
 //

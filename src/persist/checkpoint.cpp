@@ -23,21 +23,29 @@ bool get_health(ByteReader& reader, HealthImage& h) {
   return ok;
 }
 
+std::uint64_t latest_version(const std::vector<api::SnapshotPtr>& chain) {
+  return chain.empty() ? 0 : chain.back()->version();
+}
+
 void put_site(ByteWriter& writer, const SiteImage& site) {
+  const std::uint64_t latest = latest_version(site.chain);
   writer.put_string(site.site);
-  writer.put_u64(site.serving_version);
+  writer.put_u64(latest);  // the serving version
   writer.put_u32(static_cast<std::uint32_t>(site.chain.size()));
   for (const api::SnapshotPtr& snapshot : site.chain) {
     put_snapshot(writer, *snapshot);
   }
-  put_warm(writer, site.warm);
+  put_warm(writer, site.warm, latest);
   put_health(writer, site.health);
 }
 
 bool get_site(ByteReader& reader, SiteImage& site) {
+  // The serving version is always the chain's latest; restore publishes
+  // that, so the field is read past.
+  std::uint64_t serving_version = 0;
   std::uint32_t chain_size = 0;
-  if (!reader.get_string(site.site) ||
-      !reader.get_u64(site.serving_version) || !reader.get_u32(chain_size)) {
+  if (!reader.get_string(site.site) || !reader.get_u64(serving_version) ||
+      !reader.get_u32(chain_size)) {
     return false;
   }
   site.chain.clear();
@@ -47,8 +55,8 @@ bool get_site(ByteReader& reader, SiteImage& site) {
     if (!get_snapshot(reader, snapshot)) return false;
     site.chain.push_back(std::move(snapshot));
   }
-  return get_warm(reader, site.warm) && get_health(reader, site.health) &&
-         reader.exhausted();
+  return get_warm(reader, latest_version(site.chain), site.warm) &&
+         get_health(reader, site.health) && reader.exhausted();
 }
 
 }  // namespace
@@ -114,15 +122,16 @@ bool get_snapshot(ByteReader& reader, api::SnapshotPtr& out) {
   return true;
 }
 
-void put_warm(ByteWriter& writer, const WarmImage& warm) {
+void put_warm(ByteWriter& writer, const serve::WarmState& warm,
+              std::uint64_t version) {
   writer.put_u8(warm.factor != nullptr ? 1 : 0);
   if (warm.factor != nullptr) {
-    writer.put_u64(warm.factor_version);
+    writer.put_u64(version);
     writer.put_matrix(*warm.factor);
   }
   writer.put_u8(warm.lrr != nullptr ? 1 : 0);
   if (warm.lrr != nullptr) {
-    writer.put_u64(warm.lrr_version);
+    writer.put_u64(version);
     writer.put_matrix(warm.lrr->z);
     writer.put_matrix(warm.lrr->y1);
     writer.put_matrix(warm.lrr->y2);
@@ -130,25 +139,27 @@ void put_warm(ByteWriter& writer, const WarmImage& warm) {
   }
 }
 
-bool get_warm(ByteReader& reader, WarmImage& out) {
+bool get_warm(ByteReader& reader, std::uint64_t version,
+              serve::WarmState& out) {
   std::uint8_t has = 0;
+  std::uint64_t recorded = 0;
   if (!reader.get_u8(has)) return false;
   if (has != 0) {
     auto factor = std::make_shared<linalg::Matrix>();
-    if (!reader.get_u64(out.factor_version) || !reader.get_matrix(*factor)) {
+    if (!reader.get_u64(recorded) || !reader.get_matrix(*factor)) {
       return false;
     }
-    out.factor = std::move(factor);
+    if (recorded == version) out.factor = std::move(factor);
   }
   if (!reader.get_u8(has)) return false;
   if (has != 0) {
     auto lrr = std::make_shared<core::LrrWarmStart>();
-    if (!reader.get_u64(out.lrr_version) || !reader.get_matrix(lrr->z) ||
+    if (!reader.get_u64(recorded) || !reader.get_matrix(lrr->z) ||
         !reader.get_matrix(lrr->y1) || !reader.get_matrix(lrr->y2) ||
         !reader.get_f64(lrr->mu)) {
       return false;
     }
-    out.lrr = std::move(lrr);
+    if (recorded == version) out.lrr = std::move(lrr);
   }
   return true;
 }

@@ -2,11 +2,11 @@
 //
 // One checkpoint file captures every site's retained snapshot chain
 // (X, B, masks, reference cells, correlation Z, source tables, day/version
-// labels), the warm-start caches and the health counters — everything a
-// fresh engine needs to serve and to keep SOLVING bit-identically to the
-// uninterrupted process (the warm caches change later solver iterates,
-// which is why they are first-class checkpoint payload, not an
-// optimization detail).
+// labels), the warm state of its published bundle and the health counters
+// — everything a fresh engine needs to serve and to keep SOLVING
+// bit-identically to the uninterrupted process (the warm state changes
+// later solver iterates, which is why it is first-class checkpoint
+// payload, not an optimization detail).
 //
 // File layout (all integers little-endian, doubles raw IEEE-754 — see
 // persist/io.hpp):
@@ -18,6 +18,12 @@
 //   +-- per site -------------------------------------------------+
 //   | payload length u64 | payload crc32 u32 | payload bytes ...   |
 //   +--------------------------------------------------------------+
+//
+// A site payload is its name, the chain's latest version (the version
+// its bundle serves), the chain, the warm state and the health counters.
+// Each warm entry records the version it belongs to; readers drop an
+// entry recorded for any version but the latest, which no solve would
+// ever start from.
 //
 // The header is validated by its magic (a flipped bit there is
 // kDataLoss, a different format version is kFailedPrecondition); each
@@ -32,16 +38,14 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <vector>
 
 #include "api/snapshot.hpp"
 #include "api/status.hpp"
-#include "core/lrr.hpp"
-#include "linalg/matrix.hpp"
 #include "persist/io.hpp"
 #include "serve/health.hpp"
+#include "serve/shard.hpp"
 
 namespace iup::persist {
 
@@ -51,16 +55,6 @@ inline constexpr std::uint32_t kFormatVersion = 1;
 /// File names inside a durability directory.
 inline constexpr const char* kCheckpointFile = "CHECKPOINT";
 inline constexpr const char* kWalFile = "WAL";
-
-/// Value image of one site's warm-start caches (shared_ptrs: collecting
-/// an image never copies a matrix, and restoring installs these exact
-/// objects into the shard).  Null pointers mean "cache empty/disabled".
-struct WarmImage {
-  std::uint64_t factor_version = 0;
-  std::shared_ptr<const linalg::Matrix> factor;
-  std::uint64_t lrr_version = 0;
-  std::shared_ptr<const core::LrrWarmStart> lrr;
-};
 
 /// Plain-value copy of serve::SiteHealthCounters (the atomics sampled
 /// relaxed, restored with relaxed stores): the state word, then the
@@ -73,13 +67,14 @@ struct HealthImage {
 };
 
 /// One checkpointed site: the retained chain (oldest first, contiguous
-/// versions — may start above 1 after history-limit eviction), the
-/// version its serving bundle published, and the cache/health state.
+/// versions — may start above 1 after history-limit eviction), the warm
+/// state its latest version's bundle published (shared_ptrs: collecting
+/// an image never copies a matrix, and restoring publishes these exact
+/// objects), and the health state.
 struct SiteImage {
   std::string site;
-  std::uint64_t serving_version = 0;
   std::vector<api::SnapshotPtr> chain;
-  WarmImage warm;
+  serve::WarmState warm;
   HealthImage health;
 };
 
@@ -91,14 +86,18 @@ struct EngineImage {
 
 // --- encoding building blocks (shared with the WAL's record payloads) --
 
-/// Serialize one snapshot / warm image into `writer` (WAL records reuse
+/// Serialize one snapshot / warm state into `writer` (WAL records reuse
 /// these exact encoders, so checkpoint and log bytes can never drift
-/// apart).
+/// apart).  Each present warm entry is recorded at `version`, the
+/// snapshot version whose bundle carries it.
 void put_snapshot(ByteWriter& writer, const api::FingerprintSnapshot& s);
-void put_warm(ByteWriter& writer, const WarmImage& warm);
-/// Decode counterparts; false on truncated/implausible bytes.
+void put_warm(ByteWriter& writer, const serve::WarmState& warm,
+              std::uint64_t version);
+/// Decode counterparts; false on truncated/implausible bytes.  get_warm
+/// leaves null every entry recorded at a version other than `version`.
 bool get_snapshot(ByteReader& reader, api::SnapshotPtr& out);
-bool get_warm(ByteReader& reader, WarmImage& out);
+bool get_warm(ByteReader& reader, std::uint64_t version,
+              serve::WarmState& out);
 
 /// Encode/decode a whole checkpoint.  decode validates magic, format
 /// version and every section CRC; on any failure `out` is left untouched.

@@ -56,17 +56,9 @@ api::UpdateHooks DurabilityManager::engine_hooks(api::UpdateHooks inner) {
 }
 
 void DurabilityManager::on_commit(const api::CommitEvent& event) {
-  // Encode outside the mutex: only the actual append (ordering) needs to
-  // serialise against other commits and checkpoint rolls.
-  WalRecord record;
-  record.snapshot = event.snapshot;
-  record.warm.factor = event.warm_factor;
-  record.warm.lrr = event.lrr_state;
-  if (event.warm_factor != nullptr || event.lrr_state != nullptr) {
-    const std::uint64_t version = event.snapshot->version();
-    record.warm.factor_version = version;
-    record.warm.lrr_version = version;
-  }
+  // The append encodes and writes under the mutex, which orders it
+  // against other commits and checkpoint rolls.
+  const WalRecord record{event.snapshot, event.warm};
 
   const std::unique_lock<std::mutex> lock(mutex_);
   if (engine_ == nullptr || !wal_.is_open()) return;  // not bound yet

@@ -3,8 +3,8 @@
 // The manager owns the directory's WAL writer and checkpoint cadence:
 //
 //   * engine_hooks() builds an UpdateHooks whose after_commit tap encodes
-//     each committed snapshot (outside any lock) and appends it to the
-//     WAL under the manager's mutex,
+//     each committed snapshot and its warm state and appends the record
+//     to the WAL under the manager's mutex (outside the commit lock),
 //   * every `checkpoint_every` commits it rolls a checkpoint — asks the
 //     engine for a fresh atomic checkpoint, then truncates the WAL.  The
 //     roll is safe because the manager mutex serialises appends against
@@ -20,12 +20,12 @@
 //     grow the log without bound.
 //
 // All I/O runs on the committing thread AFTER publication, outside the
-// commit lock and every shard lock, and never on the serve read path —
-// localize throughput is unaffected by durability (the soak harness
-// asserts the read-path violation counter stays zero with hooks
-// installed).  Durability failures (disk full, permission lost) are
-// recorded in last_error() and NEVER fail or veto an update: the engine
-// keeps serving, the operator alarms on last_error.
+// commit lock, and never on the serve read path — localize throughput is
+// unaffected by durability (the soak harness asserts the read-path
+// violation counter stays zero with hooks installed).  Durability
+// failures (disk full, permission lost) are recorded in last_error() and
+// NEVER fail or veto an update: the engine keeps serving, the operator
+// alarms on last_error.
 #pragma once
 
 #include <cstdint>

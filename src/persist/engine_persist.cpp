@@ -16,51 +16,28 @@ namespace iup::api {
 
 persist::EngineImage Engine::collect_persist_image() const {
   persist::EngineImage image;
-  // Chains + serving versions under ONE state-lock hold: the image is
-  // commit-consistent (no site can advance mid-collection), and the
-  // SnapshotPtr copies are refcount bumps, not matrix copies, so the lock
-  // hold is short.  Serialization happens after release.
-  {
-    const auto lock = state_lock();
-    std::vector<std::string> names = store_.sites();
-    std::sort(names.begin(), names.end());  // deterministic bytes
-    image.sites.reserve(names.size());
-    for (std::string& name : names) {
-      persist::SiteImage site;
-      const std::uint64_t latest = store_.next_version(name) - 1;
-      const std::size_t count = store_.version_count(name);
-      const std::uint64_t first = latest - count + 1;
-      site.chain.reserve(count);
-      for (std::uint64_t v = first; v <= latest; ++v) {
-        site.chain.push_back(store_.at_version(name, v).value());
-      }
-      site.serving_version = latest;
-      if (const auto shard = shards_->find(name); shard != nullptr) {
-        if (const serve::PublishedPtr bundle = shard->published();
-            bundle != nullptr && bundle->snapshot != nullptr) {
-          site.serving_version = bundle->snapshot->version();
-        }
-      }
-      site.site = std::move(name);
-      image.sites.push_back(std::move(site));
+  // Chains, warm state and health under ONE state-lock hold: the image is
+  // commit-consistent (no site can advance mid-collection, and each
+  // site's published bundle is its chain's latest version), and the
+  // copies are refcount bumps, not matrix copies, so the lock hold is
+  // short.  Serialization happens after release.
+  const auto lock = state_lock();
+  std::vector<std::string> names = store_.sites();
+  std::sort(names.begin(), names.end());  // deterministic bytes
+  image.sites.reserve(names.size());
+  for (std::string& name : names) {
+    persist::SiteImage site;
+    const std::uint64_t latest = store_.next_version(name) - 1;
+    const std::size_t count = store_.version_count(name);
+    site.chain.reserve(count);
+    for (std::uint64_t v = latest - count + 1; v <= latest; ++v) {
+      site.chain.push_back(store_.at_version(name, v).value());
     }
-  }
-  // Warm caches + health per shard, outside the commit lock (shard locks
-  // never nest with it).  A commit racing in here can only install a
-  // NEWER cache than the chain we captured — harmless, because cache
-  // consultation is exact-version-match after restore.
-  for (persist::SiteImage& site : image.sites) {
-    const auto shard = shards_->find(site.site);
-    if (shard == nullptr) continue;
-    {
-      const auto lock = shard->lock_for_update();
-      const serve::WarmCaches& caches = shard->caches(lock);
-      site.warm.factor_version = caches.factor_version;
-      site.warm.factor = caches.factor;
-      site.warm.lrr_version = caches.lrr_version;
-      site.warm.lrr = caches.lrr;
-    }
+    const auto shard = shards_->find(name);
+    site.warm = shard->published()->warm;
     shard->health().load_into(site.health);
+    site.site = std::move(name);
+    image.sites.push_back(std::move(site));
   }
   return image;
 }
@@ -74,40 +51,19 @@ Status Engine::install_restored_site(persist::SiteImage image) {
     return Status::data_loss("restore: checkpointed site '" + image.site +
                              "' has an empty snapshot chain");
   }
-  // Serve the checkpointed serving version when it is still in the chain
-  // (it always is in practice — publication and commit are one critical
-  // section — but a trimmed chain after a history-limit change falls back
-  // to the latest retained version).
   SnapshotPtr serving = image.chain.back();
-  for (const SnapshotPtr& snapshot : image.chain) {
-    if (snapshot->version() == image.serving_version) {
-      serving = snapshot;
-      break;
-    }
-  }
   Result<std::shared_ptr<const loc::Localizer>> localizer =
       build_localizer(serving->database(), nullptr);
   if (!localizer.ok()) return localizer.status();
 
-  std::shared_ptr<serve::SiteShard> shard;
-  {
-    const auto lock = state_lock();
-    if (Status s = store_.restore_history(std::move(image.chain)); !s.ok()) {
-      return s;
-    }
-    shard = shards_->emplace(image.site);
-    shard->publish(std::make_shared<const serve::PublishedSite>(
-        serve::PublishedSite{std::move(serving),
-                             std::move(localizer).value()}));
+  const auto lock = state_lock();
+  if (Status s = store_.restore_history(std::move(image.chain)); !s.ok()) {
+    return s;
   }
-  {
-    const auto lock = shard->lock_for_update();
-    serve::WarmCaches& caches = shard->caches(lock);
-    caches.factor_version = image.warm.factor_version;
-    caches.factor = image.warm.factor;
-    caches.lrr_version = image.warm.lrr_version;
-    caches.lrr = image.warm.lrr;
-  }
+  const auto shard = shards_->emplace(image.site);
+  shard->publish(std::make_shared<const serve::PublishedSite>(
+      serve::PublishedSite{std::move(serving), std::move(localizer).value(),
+                           std::move(image.warm)}));
   shard->health().store_from(image.health);
   return {};
 }
@@ -122,41 +78,26 @@ Status Engine::apply_wal_record(const persist::WalRecord& record) {
       build_localizer(record.snapshot->database(), nullptr);
   if (!localizer.ok()) return localizer.status();
 
-  std::shared_ptr<serve::SiteShard> shard;
-  {
-    const auto lock = state_lock();
-    if (store_.contains(site)) {
-      const std::uint64_t next = store_.next_version(site);
-      if (version < next) return {};  // checkpoint already covers it
-      if (version > next) {
-        return Status::data_loss(
-            "WAL replay: version gap for site '" + site + "' (have " +
-            std::to_string(next - 1) + ", log continues at " +
-            std::to_string(version) + ") — a log record is missing");
-      }
-    } else if (version != 1) {
+  const auto lock = state_lock();
+  if (store_.contains(site)) {
+    const std::uint64_t next = store_.next_version(site);
+    if (version < next) return {};  // checkpoint already covers it
+    if (version > next) {
       return Status::data_loss(
-          "WAL replay: site '" + site + "' starts at version " +
-          std::to_string(version) +
-          " with no checkpoint behind it — the checkpoint is missing");
+          "WAL replay: version gap for site '" + site + "' (have " +
+          std::to_string(next - 1) + ", log continues at " +
+          std::to_string(version) + ") — a log record is missing");
     }
-    if (Status s = store_.put(record.snapshot); !s.ok()) return s;
-    shard = shards_->emplace(site);
-    shard->publish(std::make_shared<const serve::PublishedSite>(
-        serve::PublishedSite{record.snapshot, std::move(localizer).value()}));
+  } else if (version != 1) {
+    return Status::data_loss(
+        "WAL replay: site '" + site + "' starts at version " +
+        std::to_string(version) +
+        " with no checkpoint behind it — the checkpoint is missing");
   }
-  const auto lock = shard->lock_for_update();
-  serve::WarmCaches& caches = shard->caches(lock);
-  if (record.warm.factor != nullptr &&
-      record.warm.factor_version >= caches.factor_version) {
-    caches.factor_version = record.warm.factor_version;
-    caches.factor = record.warm.factor;
-  }
-  if (record.warm.lrr != nullptr &&
-      record.warm.lrr_version >= caches.lrr_version) {
-    caches.lrr_version = record.warm.lrr_version;
-    caches.lrr = record.warm.lrr;
-  }
+  if (Status s = store_.put(record.snapshot); !s.ok()) return s;
+  shards_->emplace(site)->publish(std::make_shared<const serve::PublishedSite>(
+      serve::PublishedSite{record.snapshot, std::move(localizer).value(),
+                           record.warm}));
   return {};
 }
 

@@ -37,7 +37,7 @@ api::Status write_all(int fd, std::span<const std::uint8_t> bytes,
 std::vector<std::uint8_t> encode_wal_record(const WalRecord& record) {
   ByteWriter payload;
   put_snapshot(payload, *record.snapshot);
-  put_warm(payload, record.warm);
+  put_warm(payload, record.warm, record.snapshot->version());
   return payload.bytes();
 }
 
@@ -45,7 +45,8 @@ bool decode_wal_record(std::span<const std::uint8_t> bytes, WalRecord& out) {
   ByteReader reader(bytes);
   WalRecord record;
   if (!get_snapshot(reader, record.snapshot) ||
-      !get_warm(reader, record.warm) || !reader.exhausted()) {
+      !get_warm(reader, record.snapshot->version(), record.warm) ||
+      !reader.exhausted()) {
     return false;
   }
   out = std::move(record);

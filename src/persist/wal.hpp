@@ -3,12 +3,12 @@
 // One CRC-framed record is appended per committed snapshot (registration,
 // set_reference_cells and every update() commit), so recovery is "load
 // the last checkpoint, replay the WAL suffix".  Each record carries the
-// committed snapshot's full bytes PLUS the warm-cache state that commit
-// installed — a redo log of results, not of inputs.  Replaying inputs
-// (re-running the solver) would NOT reproduce the uninterrupted process
-// bit for bit, because the warm caches seed later solves; storing the
-// exact bytes makes recovery trivially bit-exact and much faster than a
-// re-solve.
+// committed snapshot's full bytes PLUS the warm state its published
+// bundle carries — a redo log of results, not of inputs.  Replaying
+// inputs (re-running the solver) would NOT reproduce the uninterrupted
+// process bit for bit, because the warm state seeds later solves; storing
+// the exact bytes makes recovery trivially bit-exact and much faster than
+// a re-solve.
 //
 // Record frame:
 //
@@ -34,10 +34,10 @@ namespace iup::persist {
 
 inline constexpr std::uint32_t kWalRecordMagic = 0x4C415749;  // "IWAL" LE
 
-/// One committed update: the snapshot and the warm caches it installed.
+/// One committed update: the snapshot and the warm state it published.
 struct WalRecord {
   api::SnapshotPtr snapshot;
-  WarmImage warm;
+  serve::WarmState warm;
 };
 
 /// Encode/decode one record payload (the bytes inside the frame).

@@ -33,9 +33,4 @@ void note_state_lock_acquired() {
   }
 }
 
-void SiteShard::ensure_holds(const std::unique_lock<std::mutex>& lock) const {
-  assert(lock.owns_lock() && lock.mutex() == &update_mutex_);
-  (void)lock;
-}
-
 }  // namespace iup::serve

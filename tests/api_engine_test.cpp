@@ -6,7 +6,6 @@
 
 #include <limits>
 #include <memory>
-#include <optional>
 #include <string>
 
 #include "core/updater.hpp"
@@ -128,13 +127,13 @@ TEST(EngineErrors, DimensionMismatchLeavesStoreUntouched) {
   const auto& run = iup::test::office_run();
   Engine engine = office_engine(run);
 
-  UpdateRequest bad_xr{"office", {linalg::Matrix(8, 96), linalg::Matrix(8, 3)},
-                       45};
+  UpdateRequest bad_xr{
+      "office", {linalg::Matrix(8, 96), linalg::Matrix(8, 3), {}}, 45};
   const auto r1 = engine.update(bad_xr);
   EXPECT_EQ(r1.status().code(), StatusCode::kInvalidArgument);
 
-  UpdateRequest bad_xb{"office", {linalg::Matrix(8, 90), linalg::Matrix(8, 8)},
-                       45};
+  UpdateRequest bad_xb{
+      "office", {linalg::Matrix(8, 90), linalg::Matrix(8, 8), {}}, 45};
   const auto r2 = engine.update(bad_xb);
   EXPECT_EQ(r2.status().code(), StatusCode::kInvalidArgument);
 
@@ -313,10 +312,13 @@ TEST(EngineBackends, InjectedBackendIsCalledAndBitIdenticalWhenForwarding) {
   }
   EXPECT_EQ(counting->solves, 2);
   EXPECT_TRUE(counting->saw_prediction);
-  // The second update starts from the first one's cached factor.
+  // The second update starts from the factor the first one published.
   EXPECT_TRUE(counting->saw_warm_factor);
-  EXPECT_EQ(injected.warm_start_version("office"),
-            std::optional<std::uint64_t>{3});
+  const auto bundle = injected.published("office").value();
+  EXPECT_EQ(bundle->snapshot->version(), 3u);
+  ASSERT_NE(bundle->warm.factor, nullptr);
+  EXPECT_TRUE(*bundle->warm.factor ==
+              *plain.published("office").value()->warm.factor);
 }
 
 TEST(EngineBackends, InjectedBackendCapabilitiesGateTheEngineInputs) {
@@ -339,7 +341,7 @@ TEST(EngineBackends, InjectedBackendCapabilitiesGateTheEngineInputs) {
     EXPECT_FALSE(counting->saw_warm_factor) << "day " << day;
   }
   EXPECT_EQ(counting->solves, 2);
-  EXPECT_FALSE(engine.warm_start_version("office").has_value());
+  EXPECT_EQ(engine.published("office").value()->warm.factor, nullptr);
 }
 
 TEST(EngineBatch, BatchedUpdatesMatchSequentialExactly) {

@@ -1,6 +1,6 @@
-// The engine's versioned warm-start caches: the solver-factor cache and
-// the LRR ADMM-state cache, including their bit-identity across engine
-// thread counts (the solver sweep is the engine's one intra-solve
+// The warm state each published bundle carries: the converged solver
+// factor and the LRR ADMM state, including their bit-identity across
+// engine thread counts (the solver sweep is the engine's one intra-solve
 // fan-out; the correlation pipeline is serial).  Equality checks are
 // exact (operator==), not tolerances, wherever the contract is bit-level —
 // mirroring solver_threads_test.cpp.
@@ -55,61 +55,67 @@ TEST(SolverWarmStart, ShapeMismatchThrows) {
   EXPECT_THROW((void)solver.solve(problem), std::invalid_argument);
 }
 
-TEST(EngineWarmStartCache, TracksCommittedVersions) {
+/// The warm state of the site's published bundle.
+serve::WarmState warm_of(const api::Engine& engine) {
+  return engine.published("office").value()->warm;
+}
+
+TEST(EngineWarmState, EveryUpdatePublishesItsConvergedFactor) {
   const auto& run = test::office_run();
   api::Engine engine{api::EngineConfig{}};
   ASSERT_TRUE(eval::register_run(engine, run, "office").ok());
-  // Registration commits version 1 without a solve: no cached factor yet.
-  EXPECT_FALSE(engine.warm_start_version("office").has_value());
+  // Registration commits version 1 without a solve: no factor yet.
+  EXPECT_EQ(warm_of(engine).factor, nullptr);
 
   const auto cells = engine.reference_cells("office").value();
-  const auto r1 =
-      engine.update(eval::collect_update_request(run, "office", cells, 15));
-  ASSERT_TRUE(r1.ok()) << r1.status().to_string();
-  ASSERT_EQ(r1.value().committed_version, 2u);
-  EXPECT_EQ(engine.warm_start_version("office"),
-            std::optional<std::uint64_t>{2});
-
-  const auto r2 =
-      engine.update(eval::collect_update_request(run, "office", cells, 45));
-  ASSERT_TRUE(r2.ok()) << r2.status().to_string();
-  EXPECT_EQ(engine.warm_start_version("office"),
-            std::optional<std::uint64_t>{3});
+  for (const std::size_t day : {15u, 45u}) {
+    const auto r =
+        engine.update(eval::collect_update_request(run, "office", cells, day));
+    ASSERT_TRUE(r.ok()) << r.status().to_string();
+    const auto bundle = engine.published("office").value();
+    EXPECT_EQ(bundle->snapshot->version(), r.value().committed_version);
+    ASSERT_NE(bundle->warm.factor, nullptr) << "day " << day;
+    EXPECT_TRUE(*bundle->warm.factor == r.value().solver.l) << "day " << day;
+  }
 
   ASSERT_TRUE(engine.drop_site("office").ok());
-  EXPECT_FALSE(engine.warm_start_version("office").has_value());
+  EXPECT_FALSE(engine.published("office").ok());
 }
 
-TEST(EngineWarmStartCache, InvalidatedWhenTheSiteMovesWithoutASolve) {
+TEST(EngineWarmState, SetReferenceCellsPublishesNoFactor) {
+  // set_reference_cells commits version 3 without running the solver, so
+  // its bundle carries no factor: the next solve must initialise cold —
+  // exactly like an engine that never warm-starts — and then publish its
+  // own factor.
   const auto& run = test::office_run();
   api::Engine engine{api::EngineConfig{}};
+  api::Engine cold(api::EngineConfig().warm_start(false));
   ASSERT_TRUE(eval::register_run(engine, run, "office").ok());
+  ASSERT_TRUE(eval::register_run(cold, run, "office").ok());
   const auto cells = engine.reference_cells("office").value();
 
-  const auto r1 =
-      engine.update(eval::collect_update_request(run, "office", cells, 15));
-  ASSERT_TRUE(r1.ok());
-  ASSERT_EQ(engine.warm_start_version("office"),
-            std::optional<std::uint64_t>{2});
+  const auto request15 = eval::collect_update_request(run, "office", cells, 15);
+  ASSERT_TRUE(engine.update(request15).ok());
+  ASSERT_TRUE(cold.update(request15).ok());
+  ASSERT_NE(warm_of(engine).factor, nullptr);
 
-  // set_reference_cells commits version 3 without running the solver: the
-  // cache still holds the version-2 factor, which no current snapshot
-  // matches — the next solve must initialise cold, then re-cache at its
-  // own committed version.
   ASSERT_TRUE(engine.set_reference_cells("office", cells).ok());
-  ASSERT_EQ(engine.snapshot("office").value()->version(), 3u);
-  EXPECT_EQ(engine.warm_start_version("office"),
-            std::optional<std::uint64_t>{2});
+  ASSERT_TRUE(cold.set_reference_cells("office", cells).ok());
+  ASSERT_EQ(engine.published("office").value()->snapshot->version(), 3u);
+  EXPECT_EQ(warm_of(engine).factor, nullptr);
 
-  const auto r2 =
-      engine.update(eval::collect_update_request(run, "office", cells, 45));
+  const auto request45 = eval::collect_update_request(run, "office", cells, 45);
+  const auto r2 = engine.update(request45);
+  const auto c2 = cold.update(request45);
   ASSERT_TRUE(r2.ok()) << r2.status().to_string();
+  ASSERT_TRUE(c2.ok()) << c2.status().to_string();
   EXPECT_EQ(r2.value().committed_version, 4u);
-  EXPECT_EQ(engine.warm_start_version("office"),
-            std::optional<std::uint64_t>{4});
+  EXPECT_EQ(r2.value().x_hat(), c2.value().x_hat());
+  ASSERT_NE(warm_of(engine).factor, nullptr);
+  EXPECT_TRUE(*warm_of(engine).factor == r2.value().solver.l);
 }
 
-TEST(EngineWarmStartCache, DisabledEngineNeverCaches) {
+TEST(EngineWarmState, DisabledEngineNeverPublishesAFactor) {
   const auto& run = test::office_run();
   api::Engine engine(api::EngineConfig().warm_start(false));
   ASSERT_TRUE(eval::register_run(engine, run, "office").ok());
@@ -117,13 +123,13 @@ TEST(EngineWarmStartCache, DisabledEngineNeverCaches) {
   const auto r1 =
       engine.update(eval::collect_update_request(run, "office", cells, 15));
   ASSERT_TRUE(r1.ok());
-  EXPECT_FALSE(engine.warm_start_version("office").has_value());
+  EXPECT_EQ(warm_of(engine).factor, nullptr);
 }
 
-TEST(EngineWarmStartCache, BackendThatIgnoresL0NeverCaches) {
+TEST(EngineWarmState, BackendThatIgnoresL0NeverPublishesAFactor) {
   // A kRandom-init solver never consumes problem.l0
   // (SolverBackend::uses_warm_start() is false), so the engine must not
-  // pay for factor copies or retain cache memory for it.
+  // pay for factor copies or retain their memory for it.
   const auto& run = test::office_run();
   core::RsvdOptions options;
   options.init = core::FactorInit::kRandom;
@@ -133,12 +139,13 @@ TEST(EngineWarmStartCache, BackendThatIgnoresL0NeverCaches) {
   const auto r1 =
       engine.update(eval::collect_update_request(run, "office", cells, 15));
   ASSERT_TRUE(r1.ok()) << r1.status().to_string();
-  EXPECT_FALSE(engine.warm_start_version("office").has_value());
+  EXPECT_EQ(warm_of(engine).factor, nullptr);
 }
 
-TEST(EngineWarmStartCache, WarmAndColdChainsStayThreadInvariant) {
-  // The headline guarantee survives the cache: a serial and a parallel
-  // engine evolve identical caches and produce bit-identical chains.
+TEST(EngineWarmState, WarmAndColdChainsStayThreadInvariant) {
+  // The headline guarantee survives the warm start: a serial and a
+  // parallel engine publish identical warm state and bit-identical
+  // chains.
   const auto& run = test::office_run();
   api::Engine serial(api::EngineConfig().threads(1));
   api::Engine parallel(api::EngineConfig().threads(8));
@@ -157,35 +164,47 @@ TEST(EngineWarmStartCache, WarmAndColdChainsStayThreadInvariant) {
     EXPECT_EQ(b.value().snapshot->correlation(),
               a.value().snapshot->correlation())
         << "day " << day;
+    EXPECT_EQ(*warm_of(parallel).factor, *warm_of(serial).factor)
+        << "day " << day;
+    EXPECT_EQ(warm_of(parallel).lrr->y1, warm_of(serial).lrr->y1)
+        << "day " << day;
   }
 }
 
-TEST(EngineLrrWarmCache, SeededAtRegistrationAndTrackedAcrossCommits) {
+TEST(EngineLrrWarmState, PublishedAtRegistrationAndByEveryCommit) {
   const auto& run = test::office_run();
   api::Engine engine{api::EngineConfig{}};
   ASSERT_TRUE(eval::register_run(engine, run, "office").ok());
-  // Registration itself seeds the refresh cache (unlike the solver-factor
-  // cache, which needs an update's converged factor).
-  EXPECT_EQ(engine.lrr_warm_version("office"),
-            std::optional<std::uint64_t>{1});
+  // Registration itself publishes ADMM state (unlike the solver factor,
+  // which needs an update's converged solve).  Its Z is the committed
+  // correlation.
+  const auto expect_lrr_of_latest = [&](const char* step) {
+    const auto bundle = engine.published("office").value();
+    ASSERT_NE(bundle->warm.lrr, nullptr) << step;
+    EXPECT_TRUE(bundle->warm.lrr->z == bundle->snapshot->correlation())
+        << step;
+  };
+  expect_lrr_of_latest("register");
+  const auto registered = warm_of(engine).lrr;
 
   const auto cells = engine.reference_cells("office").value();
   const auto r1 =
       engine.update(eval::collect_update_request(run, "office", cells, 15));
   ASSERT_TRUE(r1.ok()) << r1.status().to_string();
-  EXPECT_EQ(engine.lrr_warm_version("office"),
-            std::optional<std::uint64_t>{2});
+  expect_lrr_of_latest("update");
+  EXPECT_NE(warm_of(engine).lrr, registered);
 
-  // set_reference_cells re-acquires cold and re-seeds at its version.
+  // set_reference_cells re-acquires cold and publishes that state.
+  const auto updated = warm_of(engine).lrr;
   ASSERT_TRUE(engine.set_reference_cells("office", cells).ok());
-  EXPECT_EQ(engine.lrr_warm_version("office"),
-            std::optional<std::uint64_t>{3});
+  expect_lrr_of_latest("set_reference_cells");
+  EXPECT_NE(warm_of(engine).lrr, updated);
 
   ASSERT_TRUE(engine.drop_site("office").ok());
-  EXPECT_FALSE(engine.lrr_warm_version("office").has_value());
+  EXPECT_FALSE(engine.published("office").ok());
 }
 
-TEST(EngineLrrWarmCache, DisabledEngineMatchesColdRefreshesExactly) {
+TEST(EngineLrrWarmState, DisabledEngineMatchesColdRefreshesExactly) {
   // lrr_warm_start(false) must reproduce the cold-refresh chain bit for
   // bit, and never retain ADMM state.
   const auto& run = test::office_run();
@@ -193,7 +212,7 @@ TEST(EngineLrrWarmCache, DisabledEngineMatchesColdRefreshesExactly) {
   api::Engine cold_engine(api::EngineConfig().lrr_warm_start(false));
   ASSERT_TRUE(eval::register_run(warm_engine, run, "office").ok());
   ASSERT_TRUE(eval::register_run(cold_engine, run, "office").ok());
-  EXPECT_FALSE(cold_engine.lrr_warm_version("office").has_value());
+  EXPECT_EQ(warm_of(cold_engine).lrr, nullptr);
   // Registration is a cold solve either way: identical snapshots.
   EXPECT_EQ(warm_engine.snapshot("office").value()->correlation(),
             cold_engine.snapshot("office").value()->correlation());
@@ -205,14 +224,14 @@ TEST(EngineLrrWarmCache, DisabledEngineMatchesColdRefreshesExactly) {
   const auto cold_result = cold_engine.update(request);
   ASSERT_TRUE(warm_result.ok());
   ASSERT_TRUE(cold_result.ok());
-  // Same reconstruction (the solve itself never sees the LRR cache)...
+  // Same reconstruction (the solve itself never sees the LRR state)...
   EXPECT_EQ(warm_result.value().x_hat(), cold_result.value().x_hat());
   // ...and refreshed correlations that agree to the ADMM fixed point,
   // warm vs cold.
   const auto& zw = warm_result.value().snapshot->correlation();
   const auto& zc = cold_result.value().snapshot->correlation();
   EXPECT_LT(linalg::relative_error(zw, zc), 1e-5);
-  EXPECT_FALSE(cold_engine.lrr_warm_version("office").has_value());
+  EXPECT_EQ(warm_of(cold_engine).lrr, nullptr);
 }
 
 }  // namespace

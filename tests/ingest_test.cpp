@@ -30,15 +30,17 @@ TEST(ObservationBuffer, QuarantinesByReasonAndKeepsMeans) {
   serve::SiteHealthCounters health;
   ObservationBuffer buffer(8, 96, health);
 
-  EXPECT_EQ(buffer.push({0, 0, kNan, 1}).code(), StatusCode::kInvalidArgument);
-  EXPECT_EQ(buffer.push({0, 0, kInf, 1}).code(), StatusCode::kInvalidArgument);
-  EXPECT_EQ(buffer.push({0, 0, -300.0, 1}).code(),
+  EXPECT_EQ(buffer.push({0, 0, kNan, 1, {}}).code(),
             StatusCode::kInvalidArgument);
-  EXPECT_EQ(buffer.push({0, 0, 400.0, 1}).code(),
+  EXPECT_EQ(buffer.push({0, 0, kInf, 1, {}}).code(),
             StatusCode::kInvalidArgument);
-  EXPECT_EQ(buffer.push({8, 0, -50.0, 1}).code(),
+  EXPECT_EQ(buffer.push({0, 0, -300.0, 1, {}}).code(),
             StatusCode::kInvalidArgument);
-  EXPECT_EQ(buffer.push({0, 96, -50.0, 1}).code(),
+  EXPECT_EQ(buffer.push({0, 0, 400.0, 1, {}}).code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(buffer.push({8, 0, -50.0, 1, {}}).code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(buffer.push({0, 96, -50.0, 1, {}}).code(),
             StatusCode::kInvalidArgument);
 
   EXPECT_EQ(health.quarantine_non_finite.load(), 2u);
@@ -49,9 +51,9 @@ TEST(ObservationBuffer, QuarantinesByReasonAndKeepsMeans) {
   EXPECT_EQ(buffer.size(), 0u);
 
   // Accepted readings fold into per-entry means and stamp the day.
-  ASSERT_TRUE(buffer.push({2, 40, -50.0, 5}).ok());
-  ASSERT_TRUE(buffer.push({2, 40, -60.0, 7}).ok());
-  ASSERT_TRUE(buffer.push({3, 41, -45.0, 6}).ok());
+  ASSERT_TRUE(buffer.push({2, 40, -50.0, 5, {}}).ok());
+  ASSERT_TRUE(buffer.push({2, 40, -60.0, 7, {}}).ok());
+  ASSERT_TRUE(buffer.push({3, 41, -45.0, 6, {}}).ok());
   EXPECT_EQ(buffer.size(), 3u);
   EXPECT_EQ(buffer.coverage(), 2u);
   EXPECT_DOUBLE_EQ(buffer.mean(2, 40).value(), -55.0);
@@ -139,14 +141,14 @@ TEST(ObservationBuffer, CapacityBackPressureIsResourceExhausted) {
   options.capacity = 4;
   ObservationBuffer buffer(8, 96, health, options);
   for (std::size_t i = 0; i < 4; ++i) {
-    ASSERT_TRUE(buffer.push({0, i, -50.0, 1}).ok());
+    ASSERT_TRUE(buffer.push({0, i, -50.0, 1, {}}).ok());
   }
-  EXPECT_EQ(buffer.push({0, 5, -50.0, 1}).code(),
+  EXPECT_EQ(buffer.push({0, 5, -50.0, 1, {}}).code(),
             StatusCode::kResourceExhausted);
   EXPECT_EQ(health.quarantine_overflow.load(), 1u);
   // consume() opens the next epoch.
   buffer.consume();
-  EXPECT_TRUE(buffer.push({0, 5, -50.0, 1}).ok());
+  EXPECT_TRUE(buffer.push({0, 5, -50.0, 1, {}}).ok());
 }
 
 TEST(ObservationBuffer, AssembleUsesFreshMeansWithServedFallback) {
@@ -165,7 +167,7 @@ TEST(ObservationBuffer, AssembleUsesFreshMeansWithServedFallback) {
             StatusCode::kInvalidArgument);
 
   const std::size_t ref0 = snapshot->reference_cells()[0];
-  ASSERT_TRUE(buffer.push({1, ref0, -40.0, 5}).ok());
+  ASSERT_TRUE(buffer.push({1, ref0, -40.0, 5, {}}).ok());
   // A masked entry, measured twice.
   std::size_t mi = 0, mj = 0;
   bool found = false;
@@ -179,8 +181,8 @@ TEST(ObservationBuffer, AssembleUsesFreshMeansWithServedFallback) {
     }
   }
   ASSERT_TRUE(found);
-  ASSERT_TRUE(buffer.push({mi, mj, -48.0, 5}).ok());
-  ASSERT_TRUE(buffer.push({mi, mj, -52.0, 5}).ok());
+  ASSERT_TRUE(buffer.push({mi, mj, -48.0, 5, {}}).ok());
+  ASSERT_TRUE(buffer.push({mi, mj, -52.0, 5, {}}).ok());
 
   const auto inputs = buffer.assemble(*snapshot);
   ASSERT_TRUE(inputs.ok()) << inputs.status().to_string();
@@ -260,7 +262,7 @@ TEST(FaultInjector, SchedulesAreDeterministicAndClearable) {
   serve::SiteHealthCounters health;
   ObservationBuffer buffer(8, 96, health);
   for (int i = 0; i < 16; ++i) {
-    Observation oa{0, 0, -50.0, 1}, ob{0, 0, -50.0, 1};
+    Observation oa{0, 0, -50.0, 1, {}}, ob{0, 0, -50.0, 1, {}};
     a.corrupt(oa);
     b.corrupt(ob);
     EXPECT_EQ(oa.link, ob.link);
@@ -295,7 +297,7 @@ TEST(UpdateSupervisor, WatchValidatesItsArguments) {
   ASSERT_TRUE(supervisor.watch("office").ok());
   EXPECT_EQ(supervisor.watch("office").code(),
             StatusCode::kFailedPrecondition);
-  EXPECT_EQ(supervisor.observe("nope", {0, 0, -50.0, 1}).code(),
+  EXPECT_EQ(supervisor.observe("nope", {0, 0, -50.0, 1, {}}).code(),
             StatusCode::kNotFound);
   EXPECT_EQ(supervisor.trigger("nope").code(), StatusCode::kNotFound);
   EXPECT_EQ(supervisor.pump(), 0u);  // nothing pending
@@ -321,7 +323,7 @@ TEST(UpdateSupervisor, DriftAgainstServedSnapshotTriggersAnUpdate) {
   std::size_t fed = 0;
   for (std::size_t j = 0; j < 96 && fed < 8; j += 13, ++fed) {
     const double rss = served(2, j) + 3.0;
-    ASSERT_TRUE(supervisor.observe("office", {2, j, rss, 45}).ok());
+    ASSERT_TRUE(supervisor.observe("office", {2, j, rss, 45, {}}).ok());
   }
 
   const auto before = engine.site_health("office").value();
@@ -433,7 +435,7 @@ TEST(UpdateSupervisor, CorruptStreamIsQuarantinedNotSolved) {
   const linalg::Matrix& served = engine.snapshot("office").value()->database();
   std::size_t rejected = 0;
   for (std::size_t i = 0; i < 20; ++i) {
-    Observation obs{i % 8, (i * 7) % 96, 0.0, 5};
+    Observation obs{i % 8, (i * 7) % 96, 0.0, 5, {}};
     obs.rss_db = served(obs.link, obs.cell) + 1.0;
     if (faults.fire(FaultKind::kCorruptObservation)) faults.corrupt(obs);
     if (!supervisor.observe("office", obs).ok()) ++rejected;

@@ -4,6 +4,7 @@
 // restore must be bit-identical at every kernel dispatch level.
 #include <unistd.h>
 
+#include <bit>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
@@ -71,9 +72,29 @@ std::vector<double> probe_measurement(const Engine& engine,
   return m;
 }
 
+/// Bit-for-bit equality of two published warm states: the same entries
+/// present, and every matrix and the ADMM penalty identical.
+void expect_warm_identical(const serve::WarmState& a,
+                           const serve::WarmState& b,
+                           const std::string& site) {
+  ASSERT_EQ(a.factor == nullptr, b.factor == nullptr) << site;
+  if (a.factor != nullptr) {
+    EXPECT_TRUE(*a.factor == *b.factor) << site;
+  }
+  ASSERT_EQ(a.lrr == nullptr, b.lrr == nullptr) << site;
+  if (a.lrr != nullptr) {
+    EXPECT_TRUE(a.lrr->z == b.lrr->z) << site;
+    EXPECT_TRUE(a.lrr->y1 == b.lrr->y1) << site;
+    EXPECT_TRUE(a.lrr->y2 == b.lrr->y2) << site;
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(a.lrr->mu),
+              std::bit_cast<std::uint64_t>(b.lrr->mu))
+        << site;
+  }
+}
+
 /// EXACT equality across everything recovery must reproduce: retained
-/// chains (all matrices compared bit-for-bit), warm-cache versions, and
-/// the localize answers for a panel of probes.
+/// chains (all matrices compared bit-for-bit), the published warm state,
+/// and the localize answers for a panel of probes.
 void expect_engines_identical(const Engine& a, const Engine& b) {
   ASSERT_EQ(a.store().sites(), b.store().sites());
   for (const std::string& site : a.store().sites()) {
@@ -92,10 +113,10 @@ void expect_engines_identical(const Engine& a, const Engine& b) {
       EXPECT_EQ(sa->day(), sb->day());
       EXPECT_EQ(sa->sources().size(), sb->sources().size());
     }
-    EXPECT_EQ(a.published(site).value()->snapshot->version(),
-              b.published(site).value()->snapshot->version());
-    EXPECT_EQ(a.warm_start_version(site), b.warm_start_version(site));
-    EXPECT_EQ(a.lrr_warm_version(site), b.lrr_warm_version(site));
+    const serve::PublishedPtr pa = a.published(site).value();
+    const serve::PublishedPtr pb = b.published(site).value();
+    EXPECT_EQ(pa->snapshot->version(), pb->snapshot->version());
+    expect_warm_identical(pa->warm, pb->warm, site);
   }
   for (std::size_t column = 0; column < 96; column += 17) {
     const std::vector<double> m = probe_measurement(a, column);
@@ -335,7 +356,7 @@ TEST(PersistCheckpoint, EveryHealthCounterRoundTrips) {
 }
 
 TEST(PersistCheckpoint, RecoveredEngineKeepsCommittingBitIdentically) {
-  // The warm caches are checkpoint payload precisely so POST-recovery
+  // The warm state is checkpoint payload precisely so POST-recovery
   // solves match: commit the same day-90 update on both engines and
   // require byte-equal databases.
   const auto& run = iup::test::office_run();
@@ -353,6 +374,69 @@ TEST(PersistCheckpoint, RecoveredEngineKeepsCommittingBitIdentically) {
   ASSERT_EQ(a->version(), b->version());
   EXPECT_TRUE(a->database() == b->database());
   EXPECT_TRUE(a->correlation() == b->correlation());
+}
+
+TEST(PersistCheckpoint, WarmEntryRecordedForAnOlderVersionIsDropped) {
+  // Older writers recorded the solver factor at the version of the update
+  // that produced it, so after set_reference_cells a checkpoint held a
+  // factor one version behind the chain — one no solve would ever start
+  // from.  Decoding at the chain's latest version drops exactly that
+  // entry and keeps the current LRR state.
+  linalg::Matrix factor(3, 2, 0.25);
+  core::LrrWarmStart lrr;
+  lrr.z = linalg::Matrix(2, 2, 1.5);
+  lrr.y1 = linalg::Matrix(3, 2, -0.5);
+  lrr.y2 = linalg::Matrix(2, 2, 2.5);
+  lrr.mu = 0.125;
+  ByteWriter writer;
+  writer.put_u8(1);
+  writer.put_u64(2);  // factor of the update that committed version 2
+  writer.put_matrix(factor);
+  writer.put_u8(1);
+  writer.put_u64(3);  // LRR state of set_reference_cells' version 3
+  writer.put_matrix(lrr.z);
+  writer.put_matrix(lrr.y1);
+  writer.put_matrix(lrr.y2);
+  writer.put_f64(lrr.mu);
+
+  ByteReader reader(writer.span());
+  serve::WarmState warm;
+  ASSERT_TRUE(get_warm(reader, /*version=*/3, warm));
+  EXPECT_TRUE(reader.exhausted());
+  EXPECT_EQ(warm.factor, nullptr);
+  ASSERT_NE(warm.lrr, nullptr);
+  EXPECT_TRUE(warm.lrr->z == lrr.z);
+  EXPECT_TRUE(warm.lrr->y1 == lrr.y1);
+  EXPECT_TRUE(warm.lrr->y2 == lrr.y2);
+  EXPECT_EQ(warm.lrr->mu, lrr.mu);
+
+  // Each entry is kept only at its own recorded version.
+  ByteReader at2(writer.span());
+  serve::WarmState warm2;
+  ASSERT_TRUE(get_warm(at2, /*version=*/2, warm2));
+  ASSERT_NE(warm2.factor, nullptr);
+  EXPECT_TRUE(*warm2.factor == factor);
+  EXPECT_EQ(warm2.lrr, nullptr);
+}
+
+TEST(PersistCheckpoint, SetReferenceCellsRoundTripStaysBitIdentical) {
+  // set_reference_cells publishes no solver factor, so the update after
+  // a restore at that version must start cold on both engines.
+  const auto& run = iup::test::office_run();
+  TempDir dir;
+  Engine engine = office_engine(run);
+  run_updates(engine, run, {15});
+  const auto cells = engine.reference_cells("office").value();
+  ASSERT_TRUE(engine.set_reference_cells("office", cells).ok());
+  ASSERT_TRUE(engine.save_checkpoint(dir.path).ok());
+  Engine restored;
+  ASSERT_TRUE(restored.restore_from(dir.path).ok());
+  expect_engines_identical(engine, restored);
+  EXPECT_EQ(restored.published("office").value()->warm.factor, nullptr);
+
+  run_updates(engine, run, {45});
+  run_updates(restored, run, {45});
+  expect_engines_identical(engine, restored);
 }
 
 TEST(PersistCheckpoint, RespectsHistoryLimitChains) {
@@ -532,6 +616,49 @@ TEST(PersistDurability, CheckpointRollTruncatesTheWal) {
   Engine restored;
   ASSERT_TRUE(restored.restore_from(dir.path).ok());
   expect_engines_identical(durable.engine, restored);
+}
+
+TEST(PersistDurability, ConcurrentCommitsCheckpointTheirOwnWarmState) {
+  // Four sites commit concurrently while every commit rolls a checkpoint,
+  // so rolls land between other sites' publishes and WAL appends.  Each
+  // checkpoint takes the warm state from the bundle under the same lock
+  // hold as the chain, so a restore after every batch must reproduce each
+  // site's published warm state bit for bit.
+  const auto& run = iup::test::office_run();
+  TempDir dir;
+  DurabilityManager manager({dir.path, /*checkpoint_every=*/1,
+                             /*fsync=*/false});
+  Engine engine(
+      EngineConfig().threads(4).update_hooks(manager.engine_hooks()));
+  ASSERT_TRUE(manager.bind(&engine).ok());
+  const std::vector<std::string> sites = {"office-a", "office-b", "office-c",
+                                          "office-d"};
+  for (const std::string& site : sites) {
+    ASSERT_TRUE(eval::register_run(engine, run, site).ok());
+  }
+  const auto cells = engine.reference_cells("office-a").value();
+  for (const std::size_t day : {5u, 15u, 30u, 45u, 75u, 90u}) {
+    std::vector<api::UpdateRequest> batch;
+    for (const std::string& site : sites) {
+      batch.push_back(eval::collect_update_request(run, site, cells, day));
+    }
+    for (const auto& result : engine.update_batch(batch)) {
+      ASSERT_TRUE(result.ok()) << result.status().to_string();
+    }
+    ASSERT_TRUE(manager.last_error().ok());
+
+    Engine restored;
+    ASSERT_TRUE(restored.restore_from(dir.path).ok());
+    for (const std::string& site : sites) {
+      const serve::PublishedPtr live = engine.published(site).value();
+      const serve::PublishedPtr back = restored.published(site).value();
+      ASSERT_EQ(live->snapshot->version(), back->snapshot->version())
+          << site << " day " << day;
+      EXPECT_TRUE(live->snapshot->database() == back->snapshot->database())
+          << site << " day " << day;
+      expect_warm_identical(live->warm, back->warm, site);
+    }
+  }
 }
 
 TEST(PersistDurability, RecoverBindsAndCompactsAndFreshDirIsOk) {
